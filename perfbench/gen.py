@@ -19,41 +19,53 @@ import pyarrow.parquet as pq
 # Workload sizes.  Fixed here, not on the command line: a run's inputs
 # are defined by (workload, seed) alone.
 EXTRACT_DOCS = 1200
-EXTRACT_LONG_DOCS = 6  # the ~100x tail
-EXTRACT_LONG_FACTOR = 100
+EXTRACT_LONG_DOCS = 2  # the small tail of ~100x longer documents
 EXTRACT_FILES = 8  # read blocks: 2x the logical CPUs
 
-COMPARE_REF_DOCS = 160
-COMPARE_PROBE_DOCS = 160
+COMPARE_REF_DOCS = 80
+COMPARE_PROBE_DOCS = 80
 COMPARE_SHARES = {"exact": 0.4, "edited": 0.3, "unrelated": 0.3}
 
-CURATE_DOCS = 1500
+CURATE_DOCS = 600
 CURATE_DUP_SHARE = 0.15
 CURATE_REJECT_SHARE = 0.15
 CURATE_FILES = 8
 
 QUERY_DOCS = 150
-QUERY_NEAR_DUP_SHARE = 0.1
 
-# Small data-engineering vocabulary, the flavour of the driver's
-# documents table: the query picks (keyword top-k, dictionary terms,
-# Gopher stopword rules) all have something to find in it.
-SMALL_VOCAB = (
-    "batch part spark line column order small sort fast value scan hash "
-    "slow group agg filter query big key window row table stream merge "
-    "data vector customer join select index shard cache plan"
+# Profile of the sf0.1 ``documents`` table of the repository's test
+# data (TESTDATA.md), measured on its 5,000 rows:
+# * every word is drawn uniformly from the 30 words below (each holds
+#   3.26% to 3.39% of all words);
+# * word counts are uniform over 10..100 (quartiles 32 / 54 / 76, mean
+#   54.1);
+# * 5% of the rows (250) repeat an earlier row's text with " dup"
+#   appended, the table's near-duplicates;
+# * lang is en for 41% of the rows and zh, es, fr, de for 15% each;
+#   source is ``src{doc_id % 20}``.
+SF_VOCAB = (
+    "spark window merge table column vector stream value data small join "
+    "filter big group hash customer sort order slow line part fast row the "
+    "agg key query a scan batch"
 ).split()
-STOPWORDS = "the and of to a in is for with on".split()
-LANGS = ("en", "zh", "es", "fr", "de")
+SF_WORDS = (10, 100)
+SF_MEAN_WORDS = 54
+SF_DUP_SHARE = 0.05
+SF_LANGS = ("en", "zh", "es", "fr", "de")
+SF_LANG_WEIGHTS = (41, 15, 15, 15, 15)
 
 
 def _large_vocab() -> List[str]:
     """~3000 distinct pseudo-words built from a fixed syllable grid.
 
-    Independent of the run seed.  Large enough that word bigrams almost
-    never repeat inside one document, so ordinary documents pass the
-    curation gate's repetition rule and unrelated documents share few
-    tokens."""
+    Independent of the run seed.  The compare and curate documents draw
+    their words from it instead of SF_VOCAB (their word counts still
+    follow SF_WORDS): with 30 words, word bigrams repeat so often that
+    the curation gate's repetition rule drops 44% of the sf0.1 rows, and
+    unrelated probes would share most of their tokens with the
+    reference.  Here bigrams almost never repeat inside one document, so
+    the curate reject share and the compare probe kinds stay what the
+    generator plants."""
     onsets = "b c d f g h j k l m n p r s t v w z br ch cl dr fl gr pl sh st tr".split()
     vowels = "a e i o u ai ea io ou".split()
     codas = ["", "n", "r", "s", "t", "l", "m", "x"]
@@ -77,12 +89,28 @@ def _words(rng: random.Random, vocab, n: int) -> List[str]:
 
 
 def _lengths(rng: random.Random, n: int, lo: int, hi: int) -> List[int]:
-    """``n`` document lengths spread evenly over [lo, hi], in seeded
-    order: every seed gets the same multiset, so the amount of work per
-    pass does not move with the seed."""
+    """``n`` word counts spread evenly over [lo, hi], in seeded order:
+    every seed gets the same multiset, so the amount of work per pass
+    does not move with the seed."""
     out = [lo + (hi - lo) * i // max(1, n - 1) for i in range(n)]
     rng.shuffle(out)
     return out
+
+
+def sf_texts(rng: random.Random, n: int) -> List[str]:
+    """``n`` texts with the sf0.1 profile: SF_VOCAB words, word counts
+    spread over SF_WORDS, and SF_DUP_SHARE of them an earlier text with
+    " dup" appended."""
+    dups = set(rng.sample(range(1, n), round(n * SF_DUP_SHARE)))
+    texts: List[str] = []
+    originals: List[str] = []
+    for i, k in enumerate(_lengths(rng, n, *SF_WORDS)):
+        if i in dups:
+            texts.append(rng.choice(originals) + " dup")
+        else:
+            originals.append(" ".join(_words(rng, SF_VOCAB, k)))
+            texts.append(originals[-1])
+    return texts
 
 
 def _write(table: pa.Table, out_dir: Path, n_files: int) -> None:
@@ -98,15 +126,15 @@ def _write(table: pa.Table, out_dir: Path, n_files: int) -> None:
 # extract: flat (doc_id, text) documents with a long-document tail
 # ---------------------------------------------------------------------------
 def extract_corpus(seed: int) -> List[Tuple[str, str]]:
+    """sf0.1-profile documents with seed-derived doc_ids, plus
+    EXTRACT_LONG_DOCS documents of 100x the mean word count at seeded
+    positions."""
     rng = random.Random(f"extract:{seed}")
-    docs = []
-    long_at = set(rng.sample(range(EXTRACT_DOCS), EXTRACT_LONG_DOCS))
-    for i, n in enumerate(_lengths(rng, EXTRACT_DOCS, 8, 100)):
-        if i in long_at:
-            n = 54 * EXTRACT_LONG_FACTOR  # ~100x the mean length
-        words = _words(rng, SMALL_VOCAB + STOPWORDS, n)
-        docs.append((f"s{seed}-{rng.getrandbits(40):010x}", " ".join(words)))
-    return docs
+    texts = sf_texts(rng, EXTRACT_DOCS - EXTRACT_LONG_DOCS)
+    for _ in range(EXTRACT_LONG_DOCS):
+        long_text = " ".join(_words(rng, SF_VOCAB, 100 * SF_MEAN_WORDS))
+        texts.insert(rng.randrange(len(texts) + 1), long_text)
+    return [(f"s{seed}-{rng.getrandbits(40):010x}", t) for t in texts]
 
 
 def make_extract(seed: int, out_dir: Path) -> Dict:
@@ -119,7 +147,8 @@ def make_extract(seed: int, out_dir: Path) -> Dict:
     return {
         "docs": len(docs),
         "long_docs": EXTRACT_LONG_DOCS,
-        "long_factor": EXTRACT_LONG_FACTOR,
+        "long_doc_words": 100 * SF_MEAN_WORDS,
+        "dup_share": SF_DUP_SHARE,
         "words": sum(n_words),
         "files": EXTRACT_FILES,
     }
@@ -147,7 +176,7 @@ def compare_corpora(seed: int):
     amounts (so their spans take the fallback-100 scan)."""
     rng = random.Random(f"compare:{seed}")
     ref = []
-    for i, n in enumerate(_lengths(rng, COMPARE_REF_DOCS, 30, 90)):
+    for i, n in enumerate(_lengths(rng, COMPARE_REF_DOCS, *SF_WORDS)):
         words = _words(rng, LARGE_VOCAB, n)
         for _ in range(1 + i % 3):
             words.insert(rng.randrange(len(words)), _date(rng))
@@ -173,7 +202,7 @@ def compare_corpora(seed: int):
                 words[k] = rng.choice(LARGE_VOCAB)
         probe.append((doc_id, " ".join(words)))
         kinds[doc_id] = "edited"
-    for n in _lengths(rng, n_unrel, 30, 90):
+    for n in _lengths(rng, n_unrel, *SF_WORDS):
         doc_id = f"u{seed}-{rng.getrandbits(40):010x}"
         probe.append((doc_id, " ".join(_words(rng, LARGE_VOCAB, n))))
         kinds[doc_id] = "unrelated"
@@ -229,13 +258,13 @@ def curate_corpus(seed: int) -> List[Tuple[int, str, str, str]]:
     n_dup = round(CURATE_DOCS * CURATE_DUP_SHARE)
     n_rej = round(CURATE_DOCS * CURATE_REJECT_SHARE)
     n_base = CURATE_DOCS - n_dup - n_rej
-    texts = [" ".join(_words(rng, LARGE_VOCAB, n)) for n in _lengths(rng, n_base, 30, 120)]
+    texts = [" ".join(_words(rng, LARGE_VOCAB, n)) for n in _lengths(rng, n_base, *SF_WORDS)]
     texts += [_respell(rng, rng.choice(texts[:n_base])) for _ in range(n_dup)]
     texts += [_reject_text(rng) for _ in range(n_rej)]
     # shuffle ids so a duplicate is as likely to be the first (kept) copy
     ids = rng.sample(range(10 * CURATE_DOCS), CURATE_DOCS)
     docs = [
-        (ids[i], t, rng.choice(LANGS), f"src{rng.randrange(20)}")
+        (ids[i], t, rng.choices(SF_LANGS, weights=SF_LANG_WEIGHTS)[0], f"src{ids[i] % 20}")
         for i, t in enumerate(texts)
     ]
     docs.sort()
@@ -265,22 +294,11 @@ def make_curate(seed: int, out_dir: Path) -> Dict:
 # query_mix: one documents.parquet in the driver's table layout
 # ---------------------------------------------------------------------------
 def query_corpus(seed: int) -> List[Tuple[int, str, str, str]]:
+    """The sf0.1 documents table's profile at QUERY_DOCS rows."""
     rng = random.Random(f"query:{seed}")
-    vocab = SMALL_VOCAB + STOPWORDS + ["hash join", "quantum flux"]
-    texts: List[str] = []
-    near_dups = set(rng.sample(range(1, QUERY_DOCS), round(QUERY_DOCS * QUERY_NEAR_DUP_SHARE)))
-    for i, n in enumerate(_lengths(rng, QUERY_DOCS, 8, 100)):
-        if i in near_dups:
-            words = rng.choice(texts).split(" ")
-            for k in range(len(words)):
-                if rng.random() < 0.1:
-                    words[k] = rng.choice(vocab)
-        else:
-            words = _words(rng, vocab, n)
-        texts.append(" ".join(words))
     return [
-        (i, t, rng.choice(LANGS), f"src{rng.randrange(20)}")
-        for i, t in enumerate(texts)
+        (i, t, rng.choices(SF_LANGS, weights=SF_LANG_WEIGHTS)[0], f"src{i % 20}")
+        for i, t in enumerate(sf_texts(rng, QUERY_DOCS))
     ]
 
 
@@ -299,7 +317,7 @@ def make_query(seed: int, out_dir: Path) -> Dict:
         ),
         out_dir / "documents.parquet",
     )
-    return {"docs": len(docs), "near_dup_share": QUERY_NEAR_DUP_SHARE}
+    return {"docs": len(docs), "dup_share": SF_DUP_SHARE}
 
 
 MAKERS = {

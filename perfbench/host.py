@@ -1,8 +1,8 @@
 """Host-side measurements read from ``/proc`` (psutil is not assumed).
 
-* CPU seconds of this process plus every process it started (the Ray
-  GCS, raylet and workers are all descendants of the driver when Ray is
-  started locally).
+* Busy and stolen CPU seconds of the whole host.
+* The live descendants of this process (the Ray GCS, raylet and
+  workers, when Ray is started locally), to wait for them at the end.
 * Peak RSS of this process, resettable so a peak can be scoped to a
   window.
 * A fixed pure-Python canary loop that shows host drift.
@@ -50,25 +50,23 @@ def live_children() -> list:
     return [p for p, f in _tree().items() if p != me and f[0] != "Z"]
 
 
-def cpu_snapshot() -> dict:
-    """pid -> (own CPU ticks, reaped children's CPU ticks) for this
-    process and its descendants (fields utime, stime, cutime, cstime)."""
-    return {p: (int(f[11]) + int(f[12]), int(f[13]) + int(f[14]))
-            for p, f in _tree().items()}
+def host_ticks() -> tuple:
+    """(busy, steal) CPU ticks of the whole host from /proc/stat.
+
+    The benchmark is the host's only load (an idle host shows about
+    0.03 busy CPU-s per second), so busy time is the driver plus every
+    Ray process.  Read host-wide because per-process counters lose the
+    time of a process that exits inside the window: Ray's raylet does
+    not collect its exited workers' times, and the executor retires its
+    actors as a pass ends.  Steal is time the hypervisor gave this
+    host's CPUs to others; it slows a pass without using its CPU."""
+    f = [int(x) for x in Path("/proc/stat").read_text().split("\n", 1)[0].split()[1:]]
+    user, nice, system, idle, iowait, irq, softirq, steal = f[:8]
+    return user + nice + system + irq + softirq, steal
 
 
-def cpu_s_between(a: dict, b: dict) -> float:
-    """CPU seconds the process tree used between two snapshots: the
-    growth of every process alive at ``b``.  Ray's raylet does not
-    collect its exited workers' times, so a process that exits inside
-    the window loses what it used after ``a``; passes are timed to the
-    moment their output is ready, before the executor retires its
-    actors."""
-    used = 0
-    for pid, (own, kids) in b.items():
-        own0, kids0 = a.get(pid, (0, 0))
-        used += (own - own0) + (kids - kids0)
-    return used / _TICK
+def host_s_between(a: tuple, b: tuple) -> tuple:
+    return (b[0] - a[0]) / _TICK, (b[1] - a[1]) / _TICK
 
 
 def reset_peak_rss() -> bool:

@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics as JSON.
 
-    python3 perfbench/run.py --workload extract --seed 1 --seconds 7 --trace 0
+    python3 perfbench/run.py --workload extract --seed 1 --seconds 10 --trace 0
 
 Run from the repository root.  Workloads: extract, compare, curate,
 query_mix (see ``BENCHMARK.json``).  Inputs are generated from
@@ -43,6 +43,10 @@ RAY_CPUS = 4  # the count the repo's own test session runs green with
 OBJECT_STORE_MB = 256
 RUN_BUDGET_S = 150.0  # passes stop here; the whole run must end inside 180 s
 MIN_PASSES = 2
+# The traced run's named spans (layers plus read/convert glue) must
+# cover this share of the layer pass: time outside every named span is
+# work no layer metric accounts for.
+MIN_COVERAGE = 0.95
 
 # With 1 logical CPU the extractor actor pool takes the only CPU and the
 # read task is never scheduled; with 2, q_dict_match's (2, 8) pool hangs
@@ -92,7 +96,7 @@ COUNTERS = {
     "ray_data.blocks": "count",
 }
 TIMES = [
-    "ray_data.wait_s", "setup.ray_init_s", "setup.warmup_s", "host.canary_s",
+    "ray_data.wait_s", "setup.ray_init_s", "setup.warmup_s", "host.canary_s", "host.steal_s",
     "trace.untraced_pass_s", "trace.traced_pass_s", "trace.overhead_s",
 ]
 
@@ -131,8 +135,7 @@ def log(msg: str) -> None:
 
 
 class Runner:
-    def __init__(self, args, t_start: float):
-        self.args = args
+    def __init__(self, t_start: float):
         self.t_start = t_start  # perf_counter at process start
         self.attempted = 0
         self.failed = 0
@@ -151,7 +154,7 @@ class Runner:
         import ray
 
         kwargs = dict(
-            num_cpus=self.args.ray_cpus,
+            num_cpus=RAY_CPUS,
             object_store_memory=OBJECT_STORE_MB * 1024 * 1024,
             include_dashboard=False,
             logging_level="ERROR",
@@ -194,7 +197,7 @@ class Runner:
 
     # -- passes --------------------------------------------------------------
     def one_pass(self, wl, k: int, timeout: float, keep_stats: bool = False):
-        """Run, time and check one pass -> (wall, cpu, peak_mb), or None
+        """Run, time and check one pass -> (wall, cpu, peak_mb, steal), or None
         when it raised, timed out or failed its output check."""
         self.attempted += 1
         # drop the previous pass's garbage so each pass's peak starts
@@ -202,13 +205,13 @@ class Runner:
         gc.collect()
         pa.default_memory_pool().release_unused()
         host.reset_peak_rss()
-        c0, t0 = host.cpu_snapshot(), time.perf_counter()
+        h0, t0 = host.host_ticks(), time.perf_counter()
         out, ok = None, False
         try:
             with deadline(min(timeout, self.remaining())):
                 out = wl.run(k)
             wall = time.perf_counter() - t0
-            cpu = host.cpu_s_between(c0, host.cpu_snapshot())
+            cpu, steal = host.host_s_between(h0, host.host_ticks())
             peak = host.peak_rss_mb()
             ok = wl.check(out)
             if not ok:
@@ -225,7 +228,7 @@ class Runner:
         if not ok:
             self.failed += 1
             return None
-        return wall, cpu, peak
+        return wall, cpu, peak, steal
 
     def timed(self, wl, seconds: float, timeout: float):
         """Closed loop, one client: passes back to back until ``seconds``
@@ -249,13 +252,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--ray-cpus", type=int, default=RAY_CPUS,
-                    help="logical CPUs given to Ray (fixed; does not follow the host)")
     args = ap.parse_args(argv)
 
     # -- preflight -------------------------------------------------------------
-    if args.ray_cpus < 2:
-        log(f"refusing to start Ray with {args.ray_cpus} logical CPU(s): {KNOWN_DEFECT}")
+    if RAY_CPUS < 2:
+        log(f"refusing to start Ray with {RAY_CPUS} logical CPU(s): {KNOWN_DEFECT}")
         return 3
     if not (ROOT / "pdf_ocr_comparison_tool_ray" / "__init__.py").is_file():
         log(f"engine package not found under {ROOT}; run from a full checkout")
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     data_dir = ROOT / ".bench_data" / f"{args.workload}-{args.seed}-{os.getpid()}"
     shutil.rmtree(data_dir, ignore_errors=True)
     wl = WORKLOADS[args.workload](data_dir, args.seed)
-    run = Runner(args, t_start)
+    run = Runner(t_start)
     try:
         t0 = time.perf_counter()
         props = wl.generate()
@@ -321,13 +322,14 @@ def main(argv=None) -> int:
 
     info = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "trace": args.trace, "ray_cpus": args.ray_cpus,
+        "trace": args.trace, "ray_cpus": RAY_CPUS,
         "object_store_mb": OBJECT_STORE_MB, **host.versions(),
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "properties": props, "items_per_pass": wl.items, "item": wl.items_name,
         "timed_passes": len(samples), "setup_s": round(setup_s, 3),
         "pass_walls": [round(x[0], 3) for x in samples],
         "pass_cpus": [round(x[1], 3) for x in samples],
+        "pass_steal": [round(x[3], 3) for x in samples],
         "ray_init_s": round(init_s, 3), "warmup_s": round(warm_s, 3),
         "import_s": round(import_s, 3), "generate_s": round(gen_s, 3),
         "oracle_s": round(oracle_s, 3), "known_defect": KNOWN_DEFECT,
@@ -340,6 +342,8 @@ def main(argv=None) -> int:
         layer["setup.ray_init_s"] = init_s
         layer["setup.warmup_s"] = warm_s
         layer["host.canary_s"] = statistics.median(canary)
+        if samples:
+            layer["host.steal_s"] = statistics.median(s[3] for s in samples)
         # every per-layer metric is printed; a layer the workload does not
         # run reads 0
         metrics = {n: {"value": float(layer.get(n, 0.0)), "unit": u}
@@ -369,8 +373,7 @@ def traced(run: Runner, wl, samples, tr, props: dict) -> dict:
     tr.pass_id = 1
     counters, ok_layers = wl.layer_pass(tr)
     self_t = tr.self_times(pass_id=1)
-    root = tr.duration("pass.layers", pass_id=1)
-    balanced = abs(sum(self_t.values()) - root) < 1e-6 * max(1.0, root)
+    covered = tr.coverage("pass.layers", pass_id=1)
 
     tr.pass_id = 2
     staged_ds, ok_staged = wl.staged_pass(tr)
@@ -394,13 +397,14 @@ def traced(run: Runner, wl, samples, tr, props: dict) -> dict:
     out["trace.untraced_pass_s"] = untraced
     out["trace.traced_pass_s"] = traced_wall
     out["trace.overhead_s"] = traced_wall - untraced
-    out["_ok"] = ok_layers and ok_staged and balanced
+    out["_ok"] = ok_layers and ok_staged and covered >= MIN_COVERAGE
     if not out["_ok"]:
         log(f"traced run: layer output ok={ok_layers} staged output ok={ok_staged} "
-            f"self-time balance ok={balanced}")
+            f"named spans cover {covered:.3f} of the layer pass (need {MIN_COVERAGE})")
     tr.write(ROOT / ".bench_out" / f"trace-{wl.name}-{wl.seed}.json",
              {"workload": wl.name, "seed": wl.seed, "properties": props,
-              "self_times": self_t, "untraced_pass_s": untraced})
+              "self_times": self_t, "covered_frac": covered,
+              "untraced_pass_s": untraced})
     return out
 
 

@@ -4,21 +4,23 @@
 
 * the generator writes byte-identical inputs for a given seed;
 * a planted wrong output is caught by the output checks and counted as
-  a failed pass, as are a raising pass and a pass that hangs.
+  a failed pass, as are a raising pass and a pass that hangs;
+* the traced run's coverage check catches time spent outside every
+  named span.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pandas as pd
 import pyarrow as pa
 import pytest
 
 from perfbench import gen
-from perfbench.run import Runner
+from perfbench.run import MIN_COVERAGE, Runner
+from perfbench.trace import Tracer
 from perfbench.workloads import Extract, frames_match, merged_rows_match
 
 
@@ -65,7 +67,7 @@ class _Planted:
 
 
 def _runner():
-    return Runner(SimpleNamespace(ray_cpus=4), time.perf_counter())
+    return Runner(time.perf_counter())
 
 
 def test_planted_wrong_output_counts_as_failed():
@@ -122,3 +124,18 @@ def test_query_check_catches_a_planted_value():
     planted.loc[0, "n"] = 3
     assert not frames_match(planted, want)
     assert not frames_match(want.iloc[:1], want)
+
+
+def test_coverage_check_catches_an_unspanned_delay():
+    tr = Tracer()
+    tr.pass_id = 1
+    with tr.span("pass.layers"):
+        with tr.span("stages.explode"):
+            time.sleep(0.05)
+    assert tr.coverage("pass.layers", pass_id=1) >= MIN_COVERAGE
+    tr.pass_id = 2
+    with tr.span("pass.layers"):
+        with tr.span("stages.explode"):
+            time.sleep(0.05)
+        time.sleep(0.02)  # work outside every layer span
+    assert tr.coverage("pass.layers", pass_id=2) < MIN_COVERAGE

@@ -50,6 +50,13 @@ class Tracer:
             out[s["name"]] += (s["end"] - s["start"]) - covered[s["id"]]
         return dict(out)
 
+    def coverage(self, root: str, pass_id: Optional[int] = None) -> float:
+        """Share of the ``root`` spans' time that their child spans
+        cover; time spent outside every named span lowers it."""
+        total = self.duration(root, pass_id)
+        unnamed = self.self_times(pass_id).get(root, 0.0)
+        return 1.0 - unnamed / total if total > 0 else 0.0
+
     def duration(self, name: str, pass_id: Optional[int] = None) -> float:
         return sum(
             s["end"] - s["start"]

@@ -446,12 +446,9 @@ class Curate(Workload):
     def written_ok(self, out: Path) -> bool:
         import json
 
-        ids = []
-        for f in sorted(out.glob("part-*.parquet")):
-            ids.extend(pq.read_table(f, columns=["doc_id"])["doc_id"].to_pylist())
         manifests = [json.loads(p.read_text()) for p in sorted((out / "_manifest").glob("p*.json"))]
         return (
-            sorted(ids) == self.kept_ids
+            _written_ids(out) == self.kept_ids
             and len(manifests) == CURATE_PARTITIONS
             and sum(int(m["n_docs"]) for m in manifests) == len(self.kept_ids)
         )
@@ -469,18 +466,27 @@ class Curate(Workload):
         shutil.rmtree(out[0], ignore_errors=True)
 
     def layer_pass(self, tr: Tracer) -> tuple:
-        from pdf_ocr_comparison_tool_ray.pipelines.curate import curation_gate
-        from pdf_ocr_comparison_tool_ray.stages.bucketed import bucket_of
+        import ray.data
+
+        from pdf_ocr_comparison_tool_ray.pipelines.curate import (
+            _make_curate_writer,
+            curation_gate,
+        )
+        from pdf_ocr_comparison_tool_ray.stages.bucketed import bucketed_drop_duplicates
         from pdf_ocr_comparison_tool_ray.state.checkpoint import (
+            input_fingerprint,
             partitions_of_series,
-            write_partition_atomic,
         )
 
-        out = self._out("layers")
+        in_path, out = str(self.dir / "in"), self._out("layers")
         shutil.rmtree(out, ignore_errors=True)
-        out.mkdir(parents=True)
         n_in = 0
         with tr.span("pass.layers"):
+            with tr.span("state.checkpoint.write"):
+                out.mkdir(parents=True)
+                writer = _make_curate_writer(
+                    str(out), in_path, input_fingerprint(in_path), CURATE_PARTITIONS
+                )
             gated = []
             for f in _files(self.dir / "in"):
                 with tr.span("ray_data.read"):
@@ -489,81 +495,67 @@ class Curate(Workload):
                 with tr.span("pipelines.curate.gate"):
                     gated.append(curation_gate(block))
             with tr.span("ray_data.convert"):
-                survivors = pa.concat_tables(gated).to_pandas()
+                survivors = ray.data.from_arrow(pa.concat_tables(gated))
+            # run_curation_checkpointed's dedup call, run on its own
             with tr.span("stages.bucketed"):
-                b = bucket_of(survivors, ["text_hash"], CURATE_PARTITIONS)
-                kept = pd.concat(
-                    g.sort_values("doc_id", kind="mergesort").drop_duplicates(["text_hash"])
-                    for _, g in survivors.groupby(b)
-                )
+                kept = bucketed_drop_duplicates(
+                    survivors, "text_hash", sort_within=["doc_id"],
+                    n_buckets=max(CURATE_PARTITIONS, 16),
+                ).to_pandas()
             with tr.span("ray_data.convert"):
-                parts = partitions_of_series(kept["doc_id"], CURATE_PARTITIONS)
-                groups = list(kept.groupby(parts))
-            for part, g in groups:
+                kept["partition"] = partitions_of_series(kept["doc_id"], CURATE_PARTITIONS)
+                groups = [g for _, g in kept.groupby("partition")]
+            for g in groups:
                 with tr.span("state.checkpoint.write"):
-                    g = g.sort_values("doc_id").reset_index(drop=True)
-                    write_partition_atomic(
-                        str(out), int(part), pa.Table.from_pandas(g, preserve_index=False),
-                        {"n_docs": len(g)},
-                    )
-        ok = sorted(int(x) for x in kept["doc_id"]) == self.kept_ids
+                    writer(g)
+        ok = _written_ids(out) == self.kept_ids
         shutil.rmtree(out, ignore_errors=True)
+        n_survivors = survivors.count()
         counters = {
-            "pipelines.curate.gate_keep_frac": len(survivors) / max(1, n_in),
-            "pipelines.curate.dedup_keep_frac": len(kept) / max(1, len(survivors)),
-            "stages.bucketed.rows_shuffled": len(survivors),
+            "pipelines.curate.gate_keep_frac": n_survivors / max(1, n_in),
+            "pipelines.curate.dedup_keep_frac": len(kept) / max(1, n_survivors),
+            "stages.bucketed.rows_shuffled": n_survivors,
         }
         return counters, ok
 
     def staged_pass(self, tr: Tracer) -> tuple:
         import ray.data
 
-        from pdf_ocr_comparison_tool_ray.pipelines.curate import curation_gate
+        from pdf_ocr_comparison_tool_ray.pipelines.curate import _write_stage, curation_gate
         from pdf_ocr_comparison_tool_ray.stages.bucketed import bucketed_drop_duplicates
-        from pdf_ocr_comparison_tool_ray.state.checkpoint import (
-            partitions_of_series,
-            write_partition_atomic,
-        )
+        from pdf_ocr_comparison_tool_ray.state.checkpoint import input_fingerprint
 
-        out = self._out("staged")
+        in_path, out = str(self.dir / "in"), self._out("staged")
         shutil.rmtree(out, ignore_errors=True)
-        out.mkdir(parents=True)
-
-        def add_partition(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["partition"] = partitions_of_series(batch["doc_id"], CURATE_PARTITIONS)
-            return batch
-
-        def write(group: pd.DataFrame) -> pd.DataFrame:
-            part = int(group["partition"].iloc[0])
-            g = group.drop(columns=["partition"]).sort_values("doc_id").reset_index(drop=True)
-            write_partition_atomic(str(out), part, pa.Table.from_pandas(g, preserve_index=False),
-                                   {"n_docs": len(g)})
-            return pd.DataFrame([{"partition": part, "n_docs": len(g)}])
-
         with tr.span("pass.staged"):
             with tr.span("stage.read"):
                 ds = ray.data.read_parquet(
-                    str(self.dir / "in"), columns=["doc_id", "text", "lang", "source"]
+                    in_path, columns=["doc_id", "text", "lang", "source"]
                 ).materialize()
             with tr.span("stage.gate"):
                 gated = ds.map_batches(curation_gate, batch_format="pyarrow").materialize()
             with tr.span("stage.dedup"):
                 kept = bucketed_drop_duplicates(
-                    gated, "text_hash", sort_within=["doc_id"], n_buckets=CURATE_PARTITIONS
+                    gated, "text_hash", sort_within=["doc_id"],
+                    n_buckets=max(CURATE_PARTITIONS, 16),
                 ).materialize()
+            # the program's write stage (partition assignment, atomic
+            # writes, empty-partition stamps); its Dataset stays inside
+            # the program, so ray_data.tasks/blocks stop at the dedup
             with tr.span("stage.write"):
-                written = (
-                    kept.map_batches(add_partition, batch_format="pandas")
-                    .groupby("partition")
-                    .map_groups(write, batch_format="pandas")
-                    .materialize()
-                )
-        ids = []
-        for f in sorted(out.glob("part-*.parquet")):
-            ids.extend(pq.read_table(f, columns=["doc_id"])["doc_id"].to_pylist())
+                out.mkdir(parents=True)
+                _write_stage(kept, frozenset(), CURATE_PARTITIONS, str(out), in_path,
+                             input_fingerprint(in_path))
+        ok = self.written_ok(out)
         shutil.rmtree(out, ignore_errors=True)
-        return written, sorted(ids) == self.kept_ids
+        return kept, ok
+
+
+def _written_ids(out: Path) -> List[int]:
+    ids = []
+    for f in sorted(out.glob("part-*.parquet")):
+        ids.extend(pq.read_table(f, columns=["doc_id"])["doc_id"].to_pylist())
+    return sorted(ids)
 
 
 # ---------------------------------------------------------------------------
