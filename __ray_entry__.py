@@ -358,6 +358,8 @@ _LOCAL_ONLY = {
     "ols_by_lang",               # sufficient-statistics OLS; same
     "ams_f2",                    # AMS F2 sketch; same (mergeable-sketch
                                  # family exposed via approx_quantile_hist)
+    "max_cover_select",          # greedy max-coverage; same (subset-
+                                 # selection cousin of kcenter_select)
 }
 
 

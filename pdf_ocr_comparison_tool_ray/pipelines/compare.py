@@ -115,8 +115,9 @@ def match_spans(
 
 def merge_matches(match_results: ray.data.Dataset) -> ray.data.Dataset:
     """J6: consecutive-run merge per source document — bucket-wise
-    co-partition (one shuffle, ~64 Python calls; ``merge_match_group``
-    breaks runs at document boundaries, so many docs share a call)."""
+    co-partition (one shuffle, one Python call per sorted block;
+    ``merge_match_group`` breaks runs at document boundaries, so many
+    docs share a call)."""
     from ..stages.bucketed import bucketed_map_groups
 
     return bucketed_map_groups(

@@ -353,8 +353,8 @@ def reassemble(extracted: ray.data.Dataset) -> ray.data.Dataset:
     document's spans wherever they live, then each BUCKET runs the
     vectorized multi-document sort+dense-seq kernel (the same kernel the
     fast path uses — ``reassemble_batch_local`` handles many docs per
-    table).  One shuffle, ~n_buckets Python invocations instead of one
-    per document (``stages/bucketed.py``).  Required whenever spans were
+    table).  One shuffle, one Python invocation per sorted block instead
+    of one per document (``stages/bucketed.py``).  Required whenever spans were
     scattered (skew repartition, pre-exploded inputs, filter-split
     unions).
     """

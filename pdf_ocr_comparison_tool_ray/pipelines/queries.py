@@ -8451,9 +8451,9 @@ WHERE levenshtein(a.c_name, b.c_name) <= 1
 # ---------------------------------------------------------------------------
 # Dictionary matching via Aho-Corasick (stages/dictmatch.py): one-pass
 # multi-pattern substring counting — the gazetteer / blocklist scan.
-# The automaton compiles once per ACTOR (__init__), batches stream
-# through __call__, partials are dictionary-bounded, and the driver
-# merge is O(terms).  Terms are border-free (asserted), so the AC
+# The automaton compiles once per worker process, batches stream
+# through plain map tasks, partials are dictionary-bounded, and the
+# driver merge is O(terms).  Terms are border-free (asserted), so the AC
 # all-occurrences count equals non-overlapping counting and the SQL
 # replace-length trick replays it exactly — including the zero row for
 # a term absent from the corpus ('quantum flux') and the nested-term
@@ -8472,14 +8472,11 @@ _DICT_TERMS = [
 
 
 def q_dict_match(sf_dir: str):
-    from ..stages.dictmatch import DictMatcher
+    from ..stages.dictmatch import match_batch
 
     ds = _read(sf_dir, "documents", ["text"])
     parts = ds.map_batches(
-        DictMatcher,
-        fn_constructor_kwargs={"terms": _DICT_TERMS},
-        batch_format="pyarrow",
-        concurrency=(2, 8),
+        match_batch, fn_kwargs={"terms": _DICT_TERMS}, batch_format="pyarrow"
     ).to_pandas()  # bounded: n_blocks x n_terms rows
     out = parts.groupby("term", as_index=False)[["n_docs", "n_occur"]].sum()
     out = (
@@ -9735,7 +9732,7 @@ def q_triangle_count(sf_dir: str):
 
         tri_parts = bucketed_map_groups(
             oriented, "src", count_bucket, n_buckets=32
-        ).to_pandas()  # bounded: one row per bucket
+        ).to_pandas()  # bounded: one row per sorted block
         n_tri = int(tri_parts["tri"].sum())
     else:
         # co-partition route: wedges move once, no broadcast
@@ -10309,6 +10306,7 @@ ORDER BY sz, i1, i2, i3
 _SNM_W = 4       # sliding-window size over the global sort order
 _SNM_THR = 0.8   # token-set Jaccard accept threshold (exact verify)
 _SNM_RANGES = 16
+_SNM_WS = r"[ \t\n\r\f\v]+"  # whitespace runs, ASCII class in both engines
 
 
 def q_sorted_neighborhood_pairs(sf_dir: str):
@@ -10335,11 +10333,14 @@ def q_sorted_neighborhood_pairs(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def norm(df: pd.DataFrame) -> pd.DataFrame:
+        # ASCII whitespace only, spelled out: Python's \s and str.strip()
+        # are Unicode-aware (NBSP, U+0085, ...) while RE2's \s and
+        # DuckDB's trim() each cover a different set
         nt = (
             df["text"]
             .str.lower()
-            .str.replace(r"\s+", " ", regex=True)
-            .str.strip()
+            .str.replace(_SNM_WS, " ", regex=True)
+            .str.strip(" ")
         )
         return pd.DataFrame({"doc_id": df["doc_id"], "nt": nt})
 
@@ -10445,7 +10446,7 @@ def q_sorted_neighborhood_pairs(sf_dir: str):
 SQL_SORTED_NEIGHBORHOOD_PAIRS = f"""
 WITH d AS (
   SELECT doc_id,
-         trim(regexp_replace(lower(text), '\\s+', ' ', 'g')) AS nt
+         trim(regexp_replace(lower(text), '{_SNM_WS}', ' ', 'g'), ' ') AS nt
   FROM documents
 ), r AS (
   SELECT doc_id, nt,
@@ -10665,7 +10666,10 @@ def q_ols_by_lang(sf_dir: str):
     scale reduces to.  All sums are exact integers; the driver widens
     them to Python ints (the SQL side uses HUGEINT) so the products
     never wrap, then performs exactly one double conversion + one
-    double division per coefficient — bit-identical to the oracle.
+    double division per coefficient — bit-identical to the oracle.  A
+    group whose x never varies (one row, or all-equal ``n_chars``) has
+    a zero denominator and no fit: slope and intercept are NULL in both
+    engines.
     """
     ds = _read(sf_dir, "documents", ["lang", "text", "n_chars"])
 
@@ -10691,13 +10695,14 @@ def q_ols_by_lang(sf_dir: str):
             int(r.n), int(r.sx), int(r.sy), int(r.sxy), int(r.sxx)
         )
         den = n * sxx - sx * sx
-        slope = float(n * sxy - sx * sy) / float(den)
-        intercept = float(sy * sxx - sx * sxy) / float(den)
+        slope = float(n * sxy - sx * sy) / float(den) if den else None
+        intercept = float(sy * sxx - sx * sxy) / float(den) if den else None
         out.append(
             {"lang": r.lang, "n": n, "slope": slope, "intercept": intercept}
         )
     res = pd.DataFrame(out)
     res["n"] = res["n"].astype("int64")
+    res[["slope", "intercept"]] = res[["slope", "intercept"]].astype("float64")
     return res.reset_index(drop=True)
 
 
@@ -10716,9 +10721,9 @@ WITH b AS (
 )
 SELECT lang, CAST(n AS BIGINT) AS n,
        CAST(n * sxy - sx * sy AS DOUBLE)
-         / CAST(n * sxx - sx * sx AS DOUBLE) AS slope,
+         / CAST(NULLIF(n * sxx - sx * sx, 0) AS DOUBLE) AS slope,
        CAST(sy * sxx - sx * sxy AS DOUBLE)
-         / CAST(n * sxx - sx * sx AS DOUBLE) AS intercept
+         / CAST(NULLIF(n * sxx - sx * sx, 0) AS DOUBLE) AS intercept
 FROM s
 ORDER BY lang
 """

@@ -4,11 +4,11 @@ Ray's ``groupby(key).map_groups(fn)`` invokes Python machinery once PER
 GROUP — measured at ~50ms/group overhead (NOTES.md: 15k customer keys
 burned ~700 CPU-s on 30k rows).  When the key cardinality is much larger
 than the worker count, the scale-safe shape is: hash the key into
-``n_buckets`` buckets, ``groupby(bucket)`` (one shuffle, bounded group
-count), then run a VECTORIZED pandas/numpy computation over each whole
-bucket.  Results are identical because a bucket contains every row of
-each key it holds (hash co-partition), so any per-key computation can run
-inside the bucket.
+``n_buckets`` buckets, sort on the bucket id (one shuffle), then run a
+VECTORIZED pandas/numpy computation once per sorted block.  Results are
+identical because range partitioning never splits a bucket across
+blocks and a bucket contains every row of each key it holds (hash
+co-partition), so any per-key computation can run inside the block.
 
 First proven on ``q_region_revenue`` (2x wall-time, oracle-identical);
 this module generalizes it for asof/range/rolling joins, sessionization,
@@ -47,11 +47,15 @@ def bucketed_map_groups(
 ) -> ray.data.Dataset:
     """``groupby(keys)``-equivalent co-partition with vectorized buckets.
 
-    ``bucket_fn`` receives one WHOLE bucket (all rows of every key hashed
-    into it, ``BUCKET_COL`` already dropped) and must itself handle the
-    per-key logic vectorized (``df.groupby(keys)`` inside the bucket).
-    One all-to-all shuffle, exactly ``n_buckets`` Python group
-    invocations regardless of key cardinality.
+    ``bucket_fn`` receives one or more WHOLE buckets (all rows of every
+    key hashed into them, ``BUCKET_COL`` already dropped) and must itself
+    handle the per-key logic vectorized (``df.groupby(keys)`` inside the
+    frame).  One all-to-all sort shuffle, then one call per non-empty
+    sorted block — at most ``min(n_blocks, n_buckets)`` calls regardless
+    of key cardinality; an empty block is skipped, never passed in.  The
+    sort's range partitioning keeps equal ``BUCKET_COL`` values in one
+    block (the guarantee Ray's own ``map_groups`` relies on), so slicing
+    each block into per-bucket calls would only add dispatch cost.
 
     ``batch_format``: "pandas" (default) or "pyarrow" — the format the
     bucket_fn receives (pyarrow keeps nested/list columns zero-copy).
@@ -70,16 +74,18 @@ def bucketed_map_groups(
         )
 
     if batch_format == "pandas":
-        def run(group: pd.DataFrame):
-            return bucket_fn(group.drop(columns=[BUCKET_COL]))
+        def run(block: pd.DataFrame):
+            if len(block):
+                yield bucket_fn(block.drop(columns=[BUCKET_COL]))
     else:
-        def run(group: pa.Table):
-            return bucket_fn(group.drop_columns([BUCKET_COL]))
+        def run(block: pa.Table):
+            if len(block):
+                yield bucket_fn(block.drop_columns([BUCKET_COL]))
 
     return (
         ds.map_batches(tag, batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(run, batch_format=batch_format)
+        .sort(BUCKET_COL)
+        .map_batches(run, batch_format=batch_format, batch_size=None)
     )
 
 
@@ -353,13 +359,13 @@ def bucketed_topk(
     """Exact distributed top-k over an OPEN-cardinality group key.
 
     Sums partial rows per key inside each hash bucket (a key's rows all
-    land in one bucket, so its total is bucket-local), keeps the bucket's
-    local top-k, and merges only ``n_buckets x k`` candidate rows on the
-    driver — any global top-k member ranks <= k within its own bucket, so
-    the result is exact.  ``agg_spec``: {out_col: (in_col, "sum")}-style
-    pandas agg mapping applied per key.  Never collects the full per-key
-    aggregate (a ``to_pandas()`` of an open vocabulary / user set does
-    not survive corpus scale).
+    land in one bucket, so its total is bucket-local), keeps each sorted
+    block's local top-k, and merges at most ``n_buckets x k`` candidate
+    rows on the driver — any global top-k member ranks <= k within its
+    own block, so the result is exact.  ``agg_spec``: {out_col: (in_col,
+    "sum")}-style pandas agg mapping applied per key.  Never collects the
+    full per-key aggregate (a ``to_pandas()`` of an open vocabulary /
+    user set does not survive corpus scale).
     """
     keys: List[str] = [group_keys] if isinstance(group_keys, str) else list(group_keys)
 

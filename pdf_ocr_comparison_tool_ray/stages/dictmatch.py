@@ -1,4 +1,4 @@
-"""Aho-Corasick multi-pattern dictionary matching as an actor-pool stage.
+"""Aho-Corasick multi-pattern dictionary matching as a task-mapped stage.
 
 The gazetteer/blocklist scan every curation pipeline runs (C4's badword
 filter, RefinedWeb's URL blocklists, entity tagging): given a dictionary
@@ -8,10 +8,13 @@ dictionary size, vs O(len(text) * n_terms) for per-term scanning.  The
 reference's keyword counting (``ocr_engine.py:392-412``) re-scans per
 keyword; this is the algorithmic upgrade a 10k-term dictionary needs.
 
-Orchestration shape (the part that matters at 100 TB): the automaton is
-built ONCE per actor in ``__init__`` — the callable-class / actor-pool
-pattern (same as stages/extract.py's OCR engines) — and every
-``__call__`` streams a batch through the compiled goto/fail tables.
+Orchestration shape (the part that matters at 100 TB): ``match_batch``
+is a plain function mapped as Ray tasks with ``fn_kwargs={"terms": ...}``;
+the automaton is built once per worker process (a module-level cache
+keyed on the term tuple, so a 10k-term dictionary still compiles once
+per worker) and every batch streams through the compiled goto/fail
+tables.  No actor pool: the scan is short, and a pool's start-up cost
+dwarfs it — a pool also holds CPUs the upstream read task needs.
 Per-batch output is a (term, n_docs, n_occur) partial bounded by the
 dictionary size, so the final merge is O(terms), never O(corpus).
 
@@ -30,7 +33,8 @@ in this offline container.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, Iterable, List
+from functools import lru_cache
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import pandas as pd
 import pyarrow as pa
@@ -96,30 +100,29 @@ class AhoCorasick:
         return c
 
 
-class DictMatcher:
-    """Actor-pool stage: automaton compiled once per actor, batches
-    streamed through ``__call__``, bounded (term, n_docs, n_occur)
-    partials out."""
+@lru_cache(maxsize=4)
+def _automaton(terms: Tuple[str, ...]) -> AhoCorasick:
+    """The compiled automaton for ``terms``, built once per worker."""
+    return AhoCorasick(terms)
 
-    def __init__(self, terms: Iterable[str]):
-        self.ac = AhoCorasick(terms)
 
-    def __call__(self, batch: pa.Table) -> pd.DataFrame:
-        occ: Counter = Counter()
-        docs: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            c = self.ac.count(t)
-            occ.update(c)
-            docs.update(c.keys())
-        terms = self.ac.terms
-        return pd.DataFrame(
-            {
-                "term": pd.Series(terms, dtype="object"),
-                "n_docs": pd.Series(
-                    [docs.get(t, 0) for t in terms], dtype="int64"
-                ),
-                "n_occur": pd.Series(
-                    [occ.get(t, 0) for t in terms], dtype="int64"
-                ),
-            }
-        )
+def match_batch(batch: pa.Table, terms: Sequence[str]) -> pd.DataFrame:
+    """One batch of ``text`` -> bounded (term, n_docs, n_occur) partials."""
+    ac = _automaton(tuple(terms))
+    occ: Counter = Counter()
+    docs: Counter = Counter()
+    for t in batch["text"].to_pylist():
+        c = ac.count(t)
+        occ.update(c)
+        docs.update(c.keys())
+    return pd.DataFrame(
+        {
+            "term": pd.Series(ac.terms, dtype="object"),
+            "n_docs": pd.Series(
+                [docs.get(t, 0) for t in ac.terms], dtype="int64"
+            ),
+            "n_occur": pd.Series(
+                [occ.get(t, 0) for t in ac.terms], dtype="int64"
+            ),
+        }
+    )

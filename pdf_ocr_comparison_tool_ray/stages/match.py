@@ -237,8 +237,8 @@ def merge_match_group(group: pa.Table) -> pa.Table:
     """J6 ordered run-merge — handles one or MANY source documents per
     table (rows sort by (source_doc_id, source_offset); a doc change
     always breaks the run), so it serves both the per-group form and the
-    bucket-wise co-partition (one Python call per hash bucket of docs,
-    not per document)."""
+    bucket-wise co-partition (one Python call per sorted block of hash
+    buckets, not per document)."""
     import pyarrow.compute as pc
 
     g = group.take(

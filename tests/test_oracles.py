@@ -148,3 +148,55 @@ def test_tfidf_routes_equivalent(monkeypatch):
 
     pd.testing.assert_frame_equal(joined[broadcast.columns], broadcast)
     assert len(broadcast) > 0
+
+
+def test_exposed_query_surface_is_fifty():
+    """``__ray_entry__`` exposes exactly 50 registry entries with their
+    oracles: the registry minus the local-only set."""
+    import __ray_entry__ as entry
+
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import SQL_QUERIES
+
+    assert entry._LOCAL_ONLY <= set(SQL_QUERIES)
+    assert len(SQL_QUERIES) - len(entry._LOCAL_ONLY) == 50
+
+
+_DICT_MATCH_AT_2_CPUS = """
+import sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from pdf_ocr_comparison_tool_ray.pipelines.queries import q_dict_match
+print(q_dict_match(sys.argv[1]).to_json(orient="records"))
+ray.shutdown()
+"""
+
+
+def test_dict_match_finishes_at_two_cpus(duck):
+    """dict_match holds no actor pool: at 2 logical CPUs the read and
+    match tasks share the CPUs and the query finishes (an actor pool
+    holding both CPUs starves the read task, and the query hangs)."""
+    import signal
+    import subprocess
+    from io import StringIO
+
+    import pandas as pd
+    from check_queries import compare
+
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import SQL_DICT_MATCH
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    p = subprocess.Popen(
+        [sys.executable, "-c", _DICT_MATCH_AT_2_CPUS, SF],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, _ = p.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)  # the child's Ray processes too
+        p.communicate()
+        pytest.fail("q_dict_match did not finish in 120 s at 2 logical CPUs")
+    assert p.returncode == 0
+    got = pd.read_json(StringIO(out.strip().splitlines()[-1]), orient="records")
+    assert compare("dict_match", got, duck.execute(SQL_DICT_MATCH).df())

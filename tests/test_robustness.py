@@ -251,6 +251,37 @@ def test_bucketed_map_groups_property():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_bucketed_map_groups_calls_once_per_sorted_block():
+    """The call shape: ``bucket_fn`` runs once per non-empty sorted
+    block (one or more whole buckets), not once per bucket, and never
+    on an empty frame."""
+    from pdf_ocr_comparison_tool_ray.stages.bucketed import bucketed_map_groups
+
+    def seen(df: pd.DataFrame) -> pd.DataFrame:
+        # one row per call: how many rows, and which keys it saw
+        return pd.DataFrame(
+            {
+                "n": [len(df)],
+                "keys": [",".join(str(k) for k in sorted(set(df["k"])))],
+            }
+        )
+
+    n_blocks, n_buckets = 4, 64
+    df = pd.DataFrame({"k": np.arange(300) % 150, "v": np.arange(300)})
+    ds = ray.data.from_pandas(df).repartition(n_blocks)
+    calls = bucketed_map_groups(ds, "k", seen, n_buckets=n_buckets).to_pandas()
+
+    assert 1 <= len(calls) <= n_blocks < n_buckets
+    per_call = [s.split(",") for s in calls["keys"]]
+    keys = [int(k) for ks in per_call for k in ks]
+    assert sorted(keys) == list(range(150))  # every key in exactly one call
+    assert calls["n"].sum() == len(df)  # ...with all of its rows
+
+    empty = ray.data.from_pandas(df.iloc[:0]).repartition(n_blocks)
+    assert bucketed_map_groups(empty, "k", seen, n_buckets=n_buckets).count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_broadcast_hash_join_matches_bucketed():
     """The broadcast map-side join and the co-partition join must agree
     on inner and left semantics (they are the two physical plans for the

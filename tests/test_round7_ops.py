@@ -7,6 +7,7 @@ across rank-block boundaries, Jaccard verify)."""
 
 from itertools import combinations
 
+import duckdb
 import numpy as np
 import pandas as pd
 
@@ -33,6 +34,15 @@ def _write_docs(tmp_path, texts):
         {"doc_id": range(len(texts)), "text": texts}
     ).to_parquet(tmp_path / "documents.parquet")
     return str(tmp_path)
+
+
+def _oracle(sf_dir, sql):
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS "
+        f"SELECT * FROM read_parquet('{sf_dir}/documents.parquet')"
+    )
+    return con.execute(sql).df()
 
 
 def _brute_itemsets(orders, minsup):
@@ -129,6 +139,36 @@ def test_snm_exactly_once_across_block_boundary(ray_session, tmp_path):
     assert (got["jacc"] == 1.0).all()
     # ranks tie-break on doc_id, so every emitted pair has d1 < d2 here
     assert (got["d1"] < got["d2"]).all()
+
+
+def test_snm_unicode_whitespace_engine_independent(ray_session, tmp_path):
+    # NBSP, U+0085 and \x1c are whitespace to Python (\s, str.strip) but
+    # not to RE2 / DuckDB's trim, and RE2's \s lacks \v: only the ASCII
+    # class [ \t\n\r\f\v] separates tokens, identically in both engines
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import (
+        SQL_SORTED_NEIGHBORHOOD_PAIRS,
+    )
+
+    texts = [
+        "alpha beta gamma delta",
+        "alpha\u00a0beta gamma delta",     # NBSP joins two tokens
+        "alpha beta gamma delta\u0085",    # U+0085 stays on the last token
+        "\x1calpha beta gamma delta",
+        "alpha\vbeta\tgamma\n delta ",    # ASCII runs collapse to one space
+        "zeta eta theta",
+    ]
+    sf_dir = _write_docs(tmp_path, texts)
+    got = q_sorted_neighborhood_pairs(sf_dir).to_pandas()
+    want = _oracle(sf_dir, SQL_SORTED_NEIGHBORHOOD_PAIRS)
+
+    def rows(df):
+        return sorted(
+            (int(r.d1), int(r.d2), float(r.jacc)) for r in df.itertuples()
+        )
+
+    assert rows(got) == rows(want)
+    assert (0, 4, 1.0) in rows(got)  # ASCII whitespace still normalizes
+    assert not any(1 in p[:2] for p in rows(got))  # NBSP token differs
 
 
 def test_snm_tiny_input_no_window(ray_session, tmp_path):
@@ -238,6 +278,34 @@ def test_ols_per_group_independent_fits(ray_session, tmp_path):
     out = q_ols_by_lang(str(tmp_path)).set_index("lang")
     assert out.loc["en", "slope"] == 0.5
     assert out.loc["de", "slope"] == 1.0 / 6.0
+
+
+def test_ols_zero_denominator_is_null_in_both_engines(ray_session, tmp_path):
+    # a one-row group and an all-equal-x group have no fit: n*Σx² − (Σx)²
+    # is 0, and both engines must emit NULL slope/intercept for them
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import (
+        SQL_OLS_BY_LANG,
+        q_ols_by_lang,
+    )
+
+    df = pd.DataFrame(
+        {
+            "text": ["a b", "a b c", "a", "a b c d", "a b", "a b c"],
+            "lang": ["de", "en", "en", "en", "fr", "fr"],
+            "n_chars": [3, 10, 10, 10, 3, 5],
+        }
+    )
+    df["doc_id"] = range(len(df))
+    df.to_parquet(tmp_path / "documents.parquet")
+
+    got = q_ols_by_lang(str(tmp_path)).sort_values("lang")
+    want = _oracle(str(tmp_path), SQL_OLS_BY_LANG).sort_values("lang")
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), want[got.columns].reset_index(drop=True)
+    )
+    fit = got.set_index("lang")
+    assert fit.loc[["de", "en"], ["slope", "intercept"]].isna().all().all()
+    assert fit.loc["fr", "slope"] == 0.5
 
 
 def _brute_ams(texts, langs):
