@@ -1504,63 +1504,17 @@ def q_customers_without_orders(sf_dir: str):
     """Customers with no order above the price floor (floor chosen so the
     anti side is non-empty on the synthetic data; plain 'no orders at
     all' is vacuous there)."""
+    from ..stages.bucketed import bucketed_equi_join
+
+    def big_orders(t: pa.Table) -> pa.Table:
+        # the filter runs on the probe side, before the shuffle
+        big = t.filter(pc.greater(t["o_totalprice"], 300000.0))
+        return pa.table({"c_custkey": big["o_custkey"]})
+
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    # push the filter to the probe side before the shuffle
-    orders = orders.map_batches(
-        lambda t: t.filter(pc.greater(t["o_totalprice"], 300000.0)).select(
-            ["o_custkey"]
-        ),
-        batch_format="pyarrow",
-    )
-
-    # union-tag both sides on the join key, one groupby co-locates them;
-    # a customer survives iff its group holds no order row
-    def tag_cust(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": batch["c_custkey"],
-                "c_name": batch["c_name"],
-                "is_order": pa.array([False] * len(batch)),
-            }
-        )
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        # batch-local distinct: the shuffle moves one row per (custkey, batch)
-        keys = sorted(set(batch["o_custkey"].to_pylist()))
-        return pa.table(
-            {
-                "key": pa.array(keys, type=pa.int64()),
-                "c_name": pa.array([""] * len(keys)),
-                "is_order": pa.array([True] * len(keys)),
-            }
-        )
-
-    tagged = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-    )
-
-    _ANTI_SCHEMA = pa.schema([("c_custkey", pa.int64()), ("c_name", pa.string())])
-
-    def anti_bucket(bucket: pd.DataFrame) -> pa.Table:
-        # vectorized anti-join within the bucket: a customer row survives
-        # iff no order row shares its key.  Explicit arrow schema: an
-        # all-matched bucket emits zero rows, and an empty object-typed
-        # c_name would otherwise infer a null arrow type and diverge from
-        # the non-empty buckets' string schema.
-        has_order = bucket.groupby("key")["is_order"].transform("any")
-        cust_rows = bucket[~bucket["is_order"] & ~has_order]
-        return pa.Table.from_pydict(
-            {
-                "c_custkey": cust_rows["key"].astype("int64").to_numpy(),
-                "c_name": cust_rows["c_name"].astype(str).tolist(),
-            },
-            schema=_ANTI_SCHEMA,
-        )
-
-    from ..stages.bucketed import bucketed_map_groups
-
-    return bucketed_map_groups(tagged, "key", anti_bucket, n_buckets=64)
+    orders = orders.map_batches(big_orders, batch_format="pyarrow")
+    return bucketed_equi_join(cust, orders, on="c_custkey", how="anti")
 
 
 SQL_CUSTOMERS_WITHOUT_ORDERS = """
@@ -1588,8 +1542,9 @@ def q_region_revenue(sf_dir: str):
     # size-routed build side (the run_compare_auto rule): when customer
     # fits the broadcast budget, ship custkey->region once via ray.put
     # and the whole query is one shuffle-free map + driver reduce over
-    # 5 region rows; the bucketed co-partition join below is the
-    # large-build fallback.
+    # 5 region rows.  Above the cap, orders pre-aggregate per customer
+    # and one bucketed_equi_join attaches each customer's nation before
+    # the same driver reduce.
     from .compare import BROADCAST_MAX_BUILD_ROWS
 
     try:
@@ -1626,84 +1581,37 @@ def q_region_revenue(sf_dir: str):
             ["n_orders", "revenue_cents"],
         )
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    from ..stages.bucketed import bucketed_equi_join
+
+    def per_customer(batch: pa.Table) -> pd.DataFrame:
+        # combiner: one (custkey, revenue, count) row per customer per
+        # batch crosses the co-partition shuffle
+        df = batch.to_pandas()
+        return (
+            df.assign(rev_cents=np.rint(df["o_totalprice"] * 100).astype("int64"))
+            .groupby("o_custkey", as_index=False)
+            .agg(rev_cents=("rev_cents", "sum"), n_orders=("o_totalprice", "size"))
+            .rename(columns={"o_custkey": "c_custkey"})
+        )
+
     lookup_ref = ray.put(nat_to_region)
-
-    def tag_cust(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64"),
-                "nationkey": df["c_nationkey"].astype("int64"),
-                "rev_cents": pd.Series([0] * len(df), dtype="int64"),
-                "n_orders": pd.Series([0] * len(df), dtype="int64"),
-            }
-        )
-
-    def tag_orders(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        agg = df.assign(
-            rev_cents=np.rint(df["o_totalprice"] * 100).astype("int64")
-        ).groupby("o_custkey", as_index=False).agg(
-            rev_cents=("rev_cents", "sum"), n_orders=("o_totalprice", "size")
-        )
-        return pd.DataFrame(
-            {
-                "key": agg["o_custkey"].astype("int64"),
-                "nationkey": pd.Series([-1] * len(agg), dtype="int64"),
-                "rev_cents": agg["rev_cents"],
-                "n_orders": agg["n_orders"].astype("int64"),
-            }
-        )
-
-    tagged = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-    )
-
-    # high-cardinality co-partition: NEVER groupby 15k customer keys
-    # directly (Ray's per-group machinery is Python-per-group); hash the
-    # key into ~128 buckets, groupby(bucket), and run a VECTORIZED pandas
-    # groupby inside each bucket — then pre-reduce to nation level so the
-    # bucket output is tiny.  This is the bucket-wise join pattern for any
-    # large-key co-shuffle.
-    N_BUCKETS = 128
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        bucket = _pc.cast(
-            _pc.bit_wise_and(t["key"], N_BUCKETS - 1), pa.int32()
-        )
-        return t.append_column("bucket", bucket)
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        agg = group.groupby("key", as_index=False).agg(
-            nationkey=("nationkey", "max"),
-            rev_cents=("rev_cents", "sum"),
-            n_orders=("n_orders", "sum"),
-        )
-        agg = agg[agg["nationkey"] >= 0]  # inner join: drop unknown customers
-        out = agg.groupby("nationkey", as_index=False).agg(
-            rev_cents=("rev_cents", "sum"), n_orders=("n_orders", "sum")
-        )
-        return out
-
-    per_cust = (
-        tagged.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
 
     def add_region(batch: pa.Table) -> pd.DataFrame:
         df = batch.to_pandas()
-        df["r_name"] = df["nationkey"].map(_broadcast_get(lookup_ref))
+        df["r_name"] = df["c_nationkey"].map(_broadcast_get(lookup_ref))
         return df.groupby("r_name", as_index=False).agg(
             n_orders=("n_orders", "sum"), revenue_cents=("rev_cents", "sum")
         )
 
+    joined = bucketed_equi_join(
+        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
+            per_customer, batch_format="pyarrow"
+        ),
+        on="c_custkey",
+    )
     return _driver_reduce(
-        per_cust.map_batches(add_region, batch_format="pyarrow"),
+        joined.map_batches(add_region, batch_format="pyarrow"),
         ["r_name"],
         ["n_orders", "revenue_cents"],
     )
@@ -1753,11 +1661,11 @@ def q_asof_event_order(sf_dir: str):
         return pd.DataFrame(
             {
                 "event_id": df["event_id"].astype("int64"),
-                "user_id": df["k"].astype("int64"),
+                "user_id": df["user_id"].astype("int64"),
                 "ts_us": df["ts_us"].astype("int64"),
                 # -1 sentinel for "no prior order" (nullable ints don't
                 # survive the pandas->Arrow block conversion)
-                "matched_cents": df["matched"].fillna(-1).astype("int64"),
+                "matched_cents": df["cents"].fillna(-1).astype("int64"),
             }
         )
 
@@ -1784,89 +1692,45 @@ ASOF LEFT JOIN r ON e.user_id = r.o_custkey AND e.ts >= r.o_orderdate
 # a sorted searchsorted count within each key group — no cross product.
 # ---------------------------------------------------------------------------
 def q_order_events_1d(sf_dir: str):
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-    events = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
+    from ..stages.asof import epoch_us
+    from ..stages.bucketed import co_partition
 
-    def tag_orders(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        return pd.DataFrame(
-            {
-                "k": df["o_custkey"].astype("int64"),
-                "o_orderkey": df["o_orderkey"].astype("int64"),
-                "ts_us": df["o_orderdate"].astype("datetime64[us]").astype("int64"),
-                "value_cents": pd.Series([0] * len(df), dtype="int64"),
-                "side": "O",
-            }
-        )
-
-    def tag_events(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        return pd.DataFrame(
-            {
-                "k": df["user_id"].astype("int64"),
-                "o_orderkey": pd.Series([-1] * len(df), dtype="int64"),
-                "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
-                "value_cents": np.rint(df["value"] * 100).astype("int64"),
-                "side": "E",
-            }
-        )
-
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        events.map_batches(tag_events, batch_format="pyarrow")
-    )
+    orders = _read(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
+    ).rename_columns({"o_custkey": "user_id"})
+    events = _read(sf_dir, "events", ["user_id", "ts", "value"])
     DAY_US = 86_400_000_000
 
-    def range_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        """Sorted prefix-sum range count for every user in the bucket.
+    def range_count(o: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+        """Prefix-sum range count for every order of the block: events
+        sort by (user, ts) once, and each order's window [ts, ts + 1 day)
+        is two composite (user, ts) searchsorted probes — no per-user
+        loop."""
+        pair = np.dtype([("k", "i8"), ("t", "i8")])
 
-        Events sort by (k, ts_us) once; per-user searchsorted windows use
-        the user's slice of the global arrays (segment offsets from one
-        vectorized boundary scan) — the only Python loop is per USER
-        within the bucket, with numpy doing each user's work.
-        """
-        o = bucket[bucket["side"] == "O"]
-        if o.empty:
-            return pd.DataFrame(
-                {"o_orderkey": pd.Series(dtype="int64"),
-                 "user_id": pd.Series(dtype="int64"),
-                 "n_events_1d": pd.Series(dtype="int64"),
-                 "value_cents_1d": pd.Series(dtype="int64")}
-            )
-        e = bucket[bucket["side"] == "E"].sort_values(
-            ["k", "ts_us"], kind="mergesort"
-        )
-        ek = e["k"].to_numpy()
-        ets = e["ts_us"].to_numpy()
-        csum = np.concatenate([[0], np.cumsum(e["value_cents"].to_numpy())])
-        # user -> [start, end) slice of the sorted event arrays
-        starts = np.flatnonzero(np.diff(ek, prepend=ek[0] - 1) != 0) if len(ek) else np.array([], dtype=np.int64)
-        seg = {int(ek[s]): (int(s), int(ends)) for s, ends in zip(starts, np.append(starts[1:], len(ek)))} if len(ek) else {}
-        n_out = np.zeros(len(o), dtype=np.int64)
-        v_out = np.zeros(len(o), dtype=np.int64)
-        ots = o["ts_us"].to_numpy()
-        ok = o["k"].to_numpy()
-        for u, idx in pd.Series(np.arange(len(o))).groupby(ok):
-            s_e = seg.get(int(u))
-            if s_e is None:
-                continue
-            s, t = s_e
-            ii = idx.to_numpy()
-            lo = np.searchsorted(ets[s:t], ots[ii], side="left") + s
-            hi = np.searchsorted(ets[s:t], ots[ii] + DAY_US, side="left") + s
-            n_out[ii] = hi - lo
-            v_out[ii] = csum[hi] - csum[lo]
+        def composite(k, t):
+            out = np.empty(len(k), dtype=pair)
+            out["k"], out["t"] = k, t
+            return out
+
+        ek, ets = e["user_id"].to_numpy(), epoch_us(e["ts"])
+        order = np.lexsort((ets, ek))
+        ev = composite(ek[order], ets[order])
+        cents = np.rint(e["value"].to_numpy()[order] * 100).astype("int64")
+        csum = np.concatenate([[0], np.cumsum(cents)])
+        ok, ots = o["user_id"].to_numpy(), epoch_us(o["o_orderdate"])
+        lo = np.searchsorted(ev, composite(ok, ots), side="left")
+        hi = np.searchsorted(ev, composite(ok, ots + DAY_US), side="left")
         return pd.DataFrame(
             {
                 "o_orderkey": o["o_orderkey"].to_numpy(),
                 "user_id": ok,
-                "n_events_1d": n_out,
-                "value_cents_1d": v_out,
+                "n_events_1d": hi - lo,
+                "value_cents_1d": csum[hi] - csum[lo],
             }
         )
 
-    from ..stages.bucketed import bucketed_map_groups
-
-    return bucketed_map_groups(tagged, "k", range_bucket, n_buckets=64)
+    return co_partition(orders, events, "user_id", range_count)
 
 
 SQL_ORDER_EVENTS_1D = """
@@ -4788,23 +4652,29 @@ def _bpe_count_pass(ds, merges: list) -> pd.DataFrame:
     return parts.groupby(["s1", "s2"], as_index=False)["c"].sum()
 
 
+def _bpe_learn(ds, n_merges: int) -> list:
+    """The BPE training loop: ``n_merges`` rounds of one count pass, the
+    argmax pair by (count desc, s1, s2), and the merge appended for the
+    next pass; stops early when no pair is left.  -> the merge table
+    [(s1, s2, pair_count at selection)]."""
+    table: list = []
+    for _ in range(n_merges):
+        counts = _bpe_count_pass(ds, [m[:2] for m in table])
+        if counts.empty:
+            break
+        best = counts.sort_values(
+            ["c", "s1", "s2"], ascending=[False, True, True]
+        ).iloc[0]
+        table.append((best["s1"], best["s2"], int(best["c"])))
+    return table
+
+
 def q_bpe_pair_counts(
     sf_dir: str, merge_iters: int = 0, topk: int = _BPE_TOPK
 ):
     ds = _read(sf_dir, "documents", ["text"])
-
-    def count_pass(merges: list):
-        return _bpe_count_pass(ds, merges)
-
-    merges: list = []
-    counts = count_pass(merges)
-    for _ in range(merge_iters):
-        best = counts.sort_values(
-            ["c", "s1", "s2"], ascending=[False, True, True]
-        ).iloc[0]
-        merges.append((best["s1"], best["s2"]))
-        counts = count_pass(merges)
-
+    merges = [m[:2] for m in _bpe_learn(ds, merge_iters)]
+    counts = _bpe_count_pass(ds, merges)
     out = counts.sort_values(
         ["c", "s1", "s2"], ascending=[False, True, True]
     ).head(topk)
@@ -4845,36 +4715,25 @@ def q_bpe_train(sf_dir: str, n_merges: int = _BPE_MERGES) -> pd.DataFrame:
     real merge rounds, returning the learned merge table
     (rank, s1, s2, pair_count at selection time).
 
-    Per round: one map-only corpus pass emits bounded (s1, s2, count)
-    partials (<= |vocab|^2 rows per batch regardless of corpus size),
-    the driver reduces and argmaxes with the (count desc, s1, s2)
-    tie-break, and the appended merge rides into the next pass via the
+    Per round (``_bpe_learn``): one map-only corpus pass emits bounded
+    (s1, s2, count) partials (<= |vocab|^2 rows per batch regardless of
+    corpus size), the driver reduces and argmaxes with the (count desc,
+    s1, s2) tie-break, and the appended merge rides into the next pass via the
     broadcast closure.  Driver state is O(|pair vocab|); the corpus
     itself never leaves the workers — the same shape that streams
     100 TB through kmeans/pagerank here.  Reference: the tokenizer side
     of the text pipeline (SURVEY.md §2 text-analysis extensions).
     """
-    ds = _read(sf_dir, "documents", ["text"])
-    merges: list = []
-    rows = []
-    for r in range(n_merges):
-        counts = _bpe_count_pass(ds, merges)
-        if counts.empty:
-            break
-        best = counts.sort_values(
-            ["c", "s1", "s2"], ascending=[False, True, True]
-        ).iloc[0]
-        # the SQL replay relies on the separator never occurring inside
-        # a symbol; corpus chars are the only symbol alphabet
-        assert _BPE_SEP not in best["s1"] + best["s2"]
-        merges.append((best["s1"], best["s2"]))
-        rows.append((r + 1, best["s1"], best["s2"], int(best["c"])))
+    table = _bpe_learn(_read(sf_dir, "documents", ["text"]), n_merges)
+    # the SQL replay relies on the separator never occurring inside a
+    # symbol; corpus chars are the only symbol alphabet
+    assert not any(_BPE_SEP in s1 + s2 for s1, s2, _ in table)
     return pd.DataFrame(
         {
-            "rank": pd.Series([r[0] for r in rows], dtype="int64"),
-            "s1": [r[1] for r in rows],
-            "s2": [r[2] for r in rows],
-            "pair_count": pd.Series([r[3] for r in rows], dtype="int64"),
+            "rank": pd.Series(range(1, len(table) + 1), dtype="int64"),
+            "s1": [m[0] for m in table],
+            "s2": [m[1] for m in table],
+            "pair_count": pd.Series([m[2] for m in table], dtype="int64"),
         }
     )
 
@@ -4946,22 +4805,13 @@ SQL_BPE_TRAIN = _sql_bpe_train()
 
 def q_bpe_vocab(sf_dir: str, n_merges: int = _BPE_MERGES) -> pd.DataFrame:
     """Learned BPE subword vocabulary with corpus frequencies: train
-    ``n_merges`` merges (the bpe_train loop), then ONE encode pass over
+    ``n_merges`` merges (``_bpe_learn``), then ONE encode pass over
     the corpus emitting bounded (token, count) partials per batch —
     the vocab table a deployed tokenizer ships.  Same unique-word
     weighting as training, so the encode pass is O(unique-word chars)
     per batch; output is vocab-sized regardless of corpus size."""
     ds = _read(sf_dir, "documents", ["text"])
-    merges: list = []
-    for _ in range(n_merges):
-        counts = _bpe_count_pass(ds, merges)
-        if counts.empty:
-            break
-        best = counts.sort_values(
-            ["c", "s1", "s2"], ascending=[False, True, True]
-        ).iloc[0]
-        merges.append((best["s1"], best["s2"]))
-    frozen = list(merges)
+    frozen = [m[:2] for m in _bpe_learn(ds, n_merges)]
 
     def encode(batch: pa.Table) -> pd.DataFrame:
         words = pc.list_flatten(

@@ -1,27 +1,30 @@
 """As-of join: for each left row, the most recent right row at or before
 its timestamp, per key.
 
-Ray Data has no asof primitive; the scalable composition is the same
-union-tag co-shuffle used by the match join: both sides shuffle ONCE on
-a hash bucket of the join key (~n_buckets groups, never one Python group
-per key — see ``stages/bucketed.py``), and each bucket runs one
-vectorized ``pd.merge_asof(..., by=key)`` across all of its keys.
-Partitioning assumption: one BUCKET's rows fit a worker; a hot key would
-need time-range bucketing on top.
+Ray Data has no asof primitive; the scalable composition is a
+``co_partition`` (``stages/bucketed.py``): both sides shuffle ONCE on a
+hash bucket of the join key (never one Python group per key), and each
+sorted block runs one vectorized ``pd.merge_asof(..., by=key)`` across
+all of its keys.  Partitioning assumption: one BUCKET's rows fit a
+worker; a hot key would need time-range bucketing on top.
 
 DuckDB's native ``ASOF JOIN`` is the oracle.  Ties on the right
-timestamp are broken deterministically by pre-reducing the right side to
-one row per (key, ts) before the join — both engines see the same
-unambiguous input.
+timestamp are broken deterministically by reducing the right side to
+one row per (key, ts) — its max value — before the merge, so both
+engines see the same unambiguous input.
 """
 
 from __future__ import annotations
 
 import pandas as pd
-import pyarrow as pa
 import ray.data
 
-from .bucketed import bucketed_map_groups
+from .bucketed import co_partition
+
+
+def epoch_us(ts: pd.Series):
+    """Timestamps -> int64 epoch microseconds (numpy)."""
+    return ts.astype("datetime64[us]").astype("int64").to_numpy()
 
 
 def asof_join_backward(
@@ -34,67 +37,31 @@ def asof_join_backward(
     left_cols: list,
     right_val: str,
 ) -> ray.data.Dataset:
-    """-> left rows + ``right_val`` of the latest right row with
-    right_ts <= left_ts (null when none).  Timestamps compared as int64
+    """-> (``key``, ``left_cols``, ``ts_us``, ``right_val``): every left
+    row with ``right_val`` (float64) of the latest right row with
+    right_ts <= left_ts, NaN when none.  Timestamps compared as int64
     epoch-us."""
 
-    def tag_left(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        out = df[[key] + left_cols].copy()
-        out["ts_us"] = df[left_ts].astype("datetime64[us]").astype("int64")
-        out["side"] = "L"
-        out["rv"] = pd.Series([None] * len(df), dtype="float64")
-        return out.rename(columns={key: "k"})
-
-    def tag_right(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        out = pd.DataFrame(
+    def merge(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        l = pd.DataFrame(
             {
-                "k": df[key],
-                "ts_us": df[right_ts].astype("datetime64[us]").astype("int64"),
-                "rv": df[right_val].astype("float64"),
+                key: l[key],
+                **{c: l[c] for c in left_cols},
+                "ts_us": epoch_us(l[left_ts]),
             }
-        )
-        # deterministic tie-break: one row per (key, ts) — keep max value
-        out = out.groupby(["k", "ts_us"], as_index=False).agg(rv=("rv", "max"))
-        for c in left_cols:
-            out[c] = None
-        out["side"] = "R"
-        return out
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-
-    def merge_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        """All keys of one hash bucket, merged in a single vectorized
-        ``merge_asof(by='k')`` call."""
-        l = bucket[bucket["side"] == "L"].sort_values(
-            ["ts_us", "k"], kind="mergesort"
-        )
+        ).sort_values("ts_us", kind="mergesort")
         r = (
-            bucket[bucket["side"] == "R"][["k", "ts_us", "rv"]]
-            .groupby(["k", "ts_us"], as_index=False)
-            .agg(rv=("rv", "max"))
-            .sort_values(["ts_us", "k"], kind="mergesort")
+            pd.DataFrame(
+                {
+                    key: r[key],
+                    "ts_us": epoch_us(r[right_ts]),
+                    right_val: r[right_val].astype("float64"),
+                }
+            )
+            .groupby([key, "ts_us"], as_index=False)[right_val]
+            .max()
+            .sort_values("ts_us", kind="mergesort")
         )
-        if l.empty:
-            # dtype-stable empty: slice the bucket's typed columns instead
-            # of building an all-object frame (block-schema divergence)
-            out = bucket.iloc[0:0][["k"] + left_cols + ["ts_us"]].copy()
-            out["matched"] = pd.Series(dtype="float64")
-            return out
-        if r.empty:
-            out = l[["k"] + left_cols + ["ts_us"]].copy()
-            out["matched"] = pd.Series([None] * len(out), dtype="float64")
-            return out
-        merged = pd.merge_asof(
-            l[["ts_us"] + left_cols + ["k"]],
-            r.rename(columns={"rv": "matched"}),
-            on="ts_us",
-            by="k",
-            direction="backward",
-        )
-        return merged[["k"] + left_cols + ["ts_us", "matched"]]
+        return pd.merge_asof(l, r, on="ts_us", by=key, direction="backward")
 
-    return bucketed_map_groups(tagged, "k", merge_bucket, n_buckets=64)
+    return co_partition(left, right, key, merge)

@@ -10,9 +10,13 @@ identical because range partitioning never splits a bucket across
 blocks and a bucket contains every row of each key it holds (hash
 co-partition), so any per-key computation can run inside the block.
 
-First proven on ``q_region_revenue`` (2x wall-time, oracle-identical);
-this module generalizes it for asof/range/rolling joins, sessionization,
-medians, pair dedup and connected components.
+Two plan shapes live here.  ``bucketed_map_groups`` co-partitions ONE
+Dataset (sessionization, medians, pair dedup, connected components).
+``co_partition`` co-partitions TWO: both sides tag into one typed union,
+shuffle once, and split back per block for a ``kernel(l_df, r_df)`` —
+the single implementation under every large-large join
+(``bucketed_equi_join``'s merge and semi/anti kernels, the as-of and
+range joins, the dedup survive rules).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Callable, List, Sequence, Union
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 from pandas.util import hash_pandas_object
 
@@ -121,12 +126,128 @@ def _arrow_type(t) -> pa.DataType:
         return pa.string()
 
 
-def _schema_types(schema) -> dict:
-    """Dataset schema (arrow or pandas-block) -> {name: arrow type}."""
+def _arrow_schema(schema) -> pa.Schema:
+    """Dataset schema (arrow or pandas-block) -> arrow schema."""
     base = getattr(schema, "base_schema", schema)
     if isinstance(base, pa.Schema):
-        return {f.name: f.type for f in base}
-    return {n: _arrow_type(t) for n, t in zip(base.names, base.types)}
+        return base
+    return pa.schema(
+        [(n, _arrow_type(t)) for n, t in zip(base.names, base.types)]
+    )
+
+
+SIDE_COL = "_side"  # co_partition's side tag: True on left rows
+
+
+def _side_schemas(left: ray.data.Dataset, right: ray.data.Dataset):
+    """Both sides' arrow schemas; a side whose Dataset has no schema (Ray
+    drops it with the last block) makes the joined columns
+    unconstructable — fail with the cause, not deep in a tag stage."""
+    schemas = []
+    for side, ds in (("left", left), ("right", right)):
+        schema = ds.schema()
+        if schema is None:
+            raise ValueError(
+                f"co_partition: the {side} side is an empty Dataset with "
+                f"no schema, so the joined columns cannot be constructed "
+                f"— materialize a schema-stable empty frame upstream or "
+                f"short-circuit the join"
+            )
+        schemas.append(_arrow_schema(schema))
+    return schemas
+
+
+def co_partition(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    keys: Union[str, Sequence[str]],
+    kernel: Callable[
+        [pd.DataFrame, pd.DataFrame], Union[pd.DataFrame, pa.Table]
+    ],
+) -> ray.data.Dataset:
+    """Two-sided hash co-partition: the one plan shape behind every
+    large-large join (equi, semi/anti, as-of, range, survive rules).
+
+    Both sides tag into ONE arrow union schema with explicit types: the
+    shared ``keys`` (typed as on the left), each side's other columns
+    under an ``l.``/``r.`` prefix (a name present on both sides cannot
+    collide), and ``SIDE_COL``.  One shuffle through
+    ``bucketed_map_groups`` (64 buckets); per sorted block the sides
+    split in Arrow and cast back to their own schemas, so an int64
+    column never passes through a null-filled float.
+    ``kernel(l_df, r_df)`` then runs once per non-empty block, each
+    frame holding only its own side's columns under their own names and
+    dtypes; either frame may be empty (a block can hold one side only),
+    so the kernel must return a typed frame or table for every input.
+    Every row of a key reaches the same call.
+
+    A side whose Dataset has no schema (Ray drops it with the last
+    block) leaves the union schema unconstructable: ``ValueError``.
+    Skew caveat: one KEY lands in one bucket — salt hot keys upstream
+    (see stages/match_shuffle.py) when a key's rows exceed a worker.
+    """
+    l_schema, r_schema = _side_schemas(left, right)
+    return _co_partition(left, l_schema, right, r_schema, keys, kernel, 64)
+
+
+def _co_partition(
+    left: ray.data.Dataset,
+    l_schema: pa.Schema,
+    right: ray.data.Dataset,
+    r_schema: pa.Schema,
+    keys: Union[str, Sequence[str]],
+    kernel: Callable,
+    n_buckets: int,
+) -> ray.data.Dataset:
+    """``co_partition`` over side schemas the caller already holds: a
+    side built by a map has no schema until Ray executes part of it."""
+    key_list: List[str] = [keys] if isinstance(keys, str) else list(keys)
+    # side column name -> union column name
+    l_map = {c: c if c in key_list else "l." + c for c in l_schema.names}
+    r_map = {c: c if c in key_list else "r." + c for c in r_schema.names}
+    union_schema = pa.schema(
+        [(k, l_schema.field(k).type) for k in key_list]
+        + [(l_map[f.name], f.type) for f in l_schema if f.name not in key_list]
+        + [(r_map[f.name], f.type) for f in r_schema if f.name not in key_list]
+        + [(SIDE_COL, pa.bool_())]
+    )
+
+    def tagger(col_map: dict, is_left: bool):
+        src = {u: c for c, u in col_map.items()}
+
+        def tag(batch: pa.Table) -> pa.Table:
+            # explicit casts: an EMPTY pandas-born block carries null-typed
+            # columns that would diverge from the other blocks' schemas
+            n = len(batch)
+            arrays = [
+                batch[src[f.name]].cast(f.type)
+                if f.name in src
+                else pa.nulls(n, type=f.type)
+                for f in union_schema
+                if f.name != SIDE_COL
+            ]
+            arrays.append(pa.repeat(pa.scalar(is_left), n))
+            return pa.Table.from_arrays(arrays, schema=union_schema)
+
+        return tag
+
+    def side_frame(block: pa.Table, mask, col_map: dict, schema: pa.Schema):
+        t = block.filter(mask).select(list(col_map.values()))
+        return t.rename_columns(list(col_map)).cast(schema).to_pandas()
+
+    def run(block: pa.Table):
+        is_left = block[SIDE_COL]
+        return kernel(
+            side_frame(block, is_left, l_map, l_schema),
+            side_frame(block, pc.invert(is_left), r_map, r_schema),
+        )
+
+    tagged = left.map_batches(tagger(l_map, True), batch_format="pyarrow").union(
+        right.map_batches(tagger(r_map, False), batch_format="pyarrow")
+    )
+    return bucketed_map_groups(
+        tagged, key_list, run, n_buckets=n_buckets, batch_format="pyarrow"
+    )
 
 
 def bucketed_equi_join(
@@ -137,21 +258,14 @@ def bucketed_equi_join(
     n_buckets: int = 64,
     suffix: str = "_r",
 ) -> ray.data.Dataset:
-    """Large-large equi join as ONE hash co-partition shuffle.
+    """Large-large equi join: ``co_partition`` with a merge kernel.
 
-    Both sides union-tag into a superset schema (each side null-fills the
-    other side's columns — explicit arrow types, so empty/homogeneous
-    blocks keep schema equality), shuffle once on the bucketed key, and
-    each bucket runs a single vectorized ``pandas.merge``.  Right-side
-    non-key columns that collide with left names get ``suffix``.
-    ``how``: "inner", "left", "right" or "outer" (pandas merge semantics
-    per bucket; co-partition makes the per-bucket merge globally exact).
-
-    This is the general form of the tag-union joins the queries use
-    (region_revenue, anti-join, asof): neither side is broadcast, rows
-    move exactly once, and the per-bucket work is vectorized.  Skew
-    caveat: one KEY still lands in one bucket — salt hot keys upstream
-    (see stages/match_shuffle.py) when a key's rows exceed a worker.
+    Neither side is broadcast, rows move exactly once, and each sorted
+    block runs one vectorized ``pandas.merge``.  Right-side non-key
+    columns that collide with left names get ``suffix``.  ``how``:
+    "inner", "left", "right" or "outer" (pandas merge semantics per
+    block; co-partition makes the per-block merge globally exact), or
+    "semi"/"anti" (left rows filtered by key existence in right).
     """
     if how not in ("inner", "left", "right", "outer", "semi", "anti"):
         raise ValueError(
@@ -161,97 +275,46 @@ def bucketed_equi_join(
     if how in ("semi", "anti"):
         return _bucketed_semi_anti(left, right, keys, how, n_buckets)
 
-    l_schema, r_schema = left.schema(), right.schema()
-    # a fully-empty Dataset reports schema() None (Ray drops the schema
-    # with the last block), which makes the joined column set
-    # unconstructable for the merge forms — fail with the cause instead
-    # of an AttributeError deep in the tag stage
-    for side, schema in (("left", l_schema), ("right", r_schema)):
-        if schema is None:
-            raise ValueError(
-                f"bucketed_equi_join(how={how!r}): the {side} side is an "
-                f"empty Dataset with no schema, so the joined columns "
-                f"cannot be constructed — materialize a schema-stable "
-                f"empty frame upstream or short-circuit the join"
-            )
+    l_schema, r_schema = _side_schemas(left, right)
     l_cols = [c for c in l_schema.names if c not in keys]
-    r_cols_src = [c for c in r_schema.names if c not in keys]
     rename_r = {
-        c: (c + suffix if c in set(l_cols) else c) for c in r_cols_src
+        c: c + suffix if c in l_cols else c
+        for c in r_schema.names
+        if c not in keys
     }
-    r_cols = [rename_r[c] for c in r_cols_src]
-
-    lt, rt = _schema_types(l_schema), _schema_types(r_schema)
-    l_types = {c: lt[c] for c in keys + l_cols}
-    r_types = {rename_r[c]: rt[c] for c in r_cols_src}
-    union_schema = pa.schema(
-        [(k, l_types[k]) for k in keys]
-        + [(c, l_types[c]) for c in l_cols]
-        + [(c, r_types[c]) for c in r_cols]
-        + [("_side", pa.string())]
-    )
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        arrays = [batch[k] for k in keys] + [batch[c] for c in l_cols]
-        arrays += [pa.nulls(n, type=r_types[c]) for c in r_cols]
-        arrays.append(pa.array(["L"] * n, type=pa.string()))
-        return pa.Table.from_arrays(arrays, schema=union_schema)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        arrays = [batch[k] for k in keys]
-        arrays += [pa.nulls(n, type=l_types[c]) for c in l_cols]
-        arrays += [batch[c] for c in r_cols_src]
-        arrays.append(pa.array(["R"] * n, type=pa.string()))
-        return pa.Table.from_arrays(arrays, schema=union_schema)
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
 
     # outer modes null-fill the unmatched side; promote that side's integer
-    # columns to float64 in EVERY bucket, or a fully-matched bucket would
-    # emit int64 blocks while others emit float64 (block-dtype divergence)
+    # columns to float64 in EVERY block, or a fully-matched block would
+    # emit int64 while others emit float64 (block-dtype divergence)
     promote = []
     if how in ("left", "outer"):
-        promote += r_cols
+        promote += list(rename_r.values())
     if how in ("right", "outer"):
         promote += l_cols
 
-    def _out_type(c: str, t: pa.DataType) -> pa.DataType:
-        return pa.float64() if c in promote and pa.types.is_integer(t) else t
+    def _out(c: str, t: pa.DataType) -> pa.Field:
+        return pa.field(
+            c, pa.float64() if c in promote and pa.types.is_integer(t) else t
+        )
 
     out_schema = pa.schema(
-        [(k, l_types[k]) for k in keys]
-        + [(c, _out_type(c, l_types[c])) for c in l_cols]
-        + [(c, _out_type(c, r_types[c])) for c in r_cols]
+        [_out(k, l_schema.field(k).type) for k in keys]
+        + [_out(c, l_schema.field(c).type) for c in l_cols]
+        + [_out(rename_r[c], r_schema.field(c).type) for c in rename_r]
     )
 
-    def join_bucket(bucket: pa.Table) -> pa.Table:
-        # split sides while still in Arrow: each side's own columns carry
-        # no nulls, so int64 survives to_pandas intact (the union-tagged
-        # frame would coerce every null-filled int column to float64,
-        # silently corrupting >2^53 hash/fingerprint values even on inner
-        # joins).  Output goes back through the EXPLICIT schema — an
-        # all-unmatched bucket otherwise emits empty object columns that
-        # infer null arrow types and diverge from other buckets' blocks.
-        import pyarrow.compute as pc
-
-        side = bucket["_side"]
-        l = bucket.filter(pc.equal(side, "L")).select(keys + l_cols).to_pandas()
-        r = bucket.filter(pc.equal(side, "R")).select(keys + r_cols).to_pandas()
-        out = l.merge(r, on=keys, how=how)
-        for c in promote:
+    def merge(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
+        # EXPLICIT output schema: an all-unmatched block otherwise emits
+        # empty object columns that infer null arrow types
+        out = l.merge(r.rename(columns=rename_r), on=keys, how=how)
+        for c in promote:  # astype, not arrow: arrow refuses ints > 2^53
             if pd.api.types.is_integer_dtype(out[c]):
                 out[c] = out[c].astype("float64")
         return pa.Table.from_pandas(
             out[out_schema.names], schema=out_schema, preserve_index=False
         )
 
-    return bucketed_map_groups(
-        tagged, keys, join_bucket, n_buckets=n_buckets, batch_format="pyarrow"
-    )
+    return _co_partition(left, l_schema, right, r_schema, keys, merge, n_buckets)
 
 
 def _bucketed_semi_anti(
@@ -261,89 +324,46 @@ def _bucketed_semi_anti(
     how: str,
     n_buckets: int,
 ) -> ray.data.Dataset:
-    """semi/anti equi join: left rows filtered by key existence in right.
+    """semi/anti equi join: a co-partition with a membership kernel.
 
     The right side ships ONLY its (deduplicated-per-batch) key columns —
     the probe payload never moves — and the output keeps the left schema
-    untouched (no null-fill, so no dtype promotion hazards).  One hash
-    co-partition shuffle, one vectorized membership merge per bucket;
-    the existing anti-join query (``customers_without_orders``) is this
-    shape hand-rolled.
+    untouched (the kernel gets null-free left columns).
     """
     if left.schema() is None:
         # empty left (schema dropped with the last block): both forms
         # return no rows regardless of the right side
         return left
-    if right.schema() is None:
-        # empty right: semi keeps nothing, anti keeps everything —
-        # both answerable without the right side's (unknowable) schema
-        return left.limit(0) if how == "semi" else left
-    l_types = _schema_types(left.schema())
-    l_names = list(l_types)
-    union_schema = pa.schema(
-        [(n, l_types[n]) for n in l_names] + [("_side", pa.string())]
-    )
+    l_schema = _arrow_schema(left.schema())
+    key_schema = pa.schema([l_schema.field(k) for k in keys])
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        # explicit types end to end: an EMPTY block's pa.array([]) would
-        # infer type null and diverge from other blocks' schemas
-        import pyarrow.compute as pc
-
-        arrays = [
-            pc.cast(batch[n].combine_chunks(), l_types[n]) for n in l_names
-        ]
-        arrays.append(pa.array(["L"] * len(batch), type=pa.string()))
-        return pa.Table.from_arrays(arrays, schema=union_schema)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        # keys only, batch-local dedup (combiner: one probe row per
-        # distinct key per batch crosses the shuffle), left payload
-        # columns null-filled to keep the union schema aligned
-        kt = batch.select(keys).to_pandas().drop_duplicates()
-        arrays = [
-            pa.array(kt[n], type=l_types[n])
-            if n in keys
-            else pa.nulls(len(kt), type=l_types[n])
-            for n in l_names
-        ]
-        arrays.append(pa.array(["R"] * len(kt), type=pa.string()))
-        return pa.Table.from_arrays(arrays, schema=union_schema)
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
+    def right_keys(batch: pa.Table) -> pa.Table:
+        # combiner: one row per distinct key per batch crosses the shuffle
+        return batch.select(keys).cast(key_schema).group_by(keys).aggregate([])
 
     keep_match = how == "semi"
 
-    out_schema = pa.schema([(n, l_types[n]) for n in l_names])
-
-    def filter_bucket(bucket: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = bucket["_side"]
-        # cast back through the LEFT schema: a bucket holding both L
-        # rows and null-filled R rows may round-trip through a pandas
-        # block during the shuffle, promoting int64+null to float64 —
-        # the L rows themselves are null-free, so the cast is exact
-        l = bucket.filter(pc.equal(side, "L")).drop_columns(["_side"])
-        l = l.select(l_names).cast(out_schema)
-        if len(l) == 0:
-            return l
-        r_keys = (
-            bucket.filter(pc.equal(side, "R"))
-            .select(keys)
-            .to_pandas()
-            .drop_duplicates()
+    def member(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
+        if len(keys) == 1:  # Series.isin: ~20x a one-level MultiIndex
+            hit = l[keys[0]].isin(r[keys[0]]).to_numpy()
+        else:
+            hit = pd.MultiIndex.from_frame(l[keys]).isin(
+                pd.MultiIndex.from_frame(r)
+            )
+        return pa.Table.from_pandas(
+            l[hit if keep_match else ~hit], schema=l_schema, preserve_index=False
         )
-        lk = l.select(keys).to_pandas()
-        hit = (
-            lk.merge(r_keys, on=keys, how="left", indicator=True)["_merge"]
-            == "both"
-        ).to_numpy()
-        return l.filter(pa.array(hit if keep_match else ~hit))
 
-    return bucketed_map_groups(
-        tagged, keys, filter_bucket, n_buckets=n_buckets, batch_format="pyarrow"
+    # the key projection's schema is known by construction, so the right
+    # side never executes for it, and an empty right needs no special case
+    return _co_partition(
+        left,
+        l_schema,
+        right.map_batches(right_keys, batch_format="pyarrow"),
+        key_schema,
+        keys,
+        member,
+        n_buckets,
     )
 
 

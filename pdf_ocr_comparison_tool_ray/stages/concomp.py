@@ -21,16 +21,20 @@ the small-pairs case and doubles as the test oracle.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .bucketed import bucketed_drop_duplicates, bucketed_map_groups
+from .bucketed import _co_partition, bucketed_drop_duplicates, bucketed_map_groups
 
 _EDGE_SCHEMA = pa.schema([("u", pa.string()), ("v", pa.string())])
+_ID_SCHEMA = pa.schema([("doc_id", pa.string())])
+_BEST_SCHEMA = pa.schema([("doc_id", pa.string()), ("quality", pa.int64())])
+_MEMBER_SCHEMA = pa.schema([("doc_id", pa.string()), ("cluster_id", pa.string())])
+_WINNER_SCHEMA = pa.schema([("doc_id", pa.string()), ("winner", pa.string())])
 
 
 def _normalize_pairs(pairs: ray.data.Dataset, col_a: str, col_b: str) -> ray.data.Dataset:
@@ -160,9 +164,7 @@ def label_components(
                     "doc_id": [d for d, _ in items],
                     "cluster_id": [c for _, c in items],
                 },
-                schema=pa.schema(
-                    [("doc_id", pa.string()), ("cluster_id", pa.string())]
-                ),
+                schema=_MEMBER_SCHEMA,
             )
         )
     prev = None
@@ -188,7 +190,7 @@ def label_components(
                 "doc_id": np.concatenate([hi, lo]).tolist(),
                 "cluster_id": np.concatenate([lo, lo]).tolist(),
             },
-            schema=pa.schema([("doc_id", pa.string()), ("cluster_id", pa.string())]),
+            schema=_MEMBER_SCHEMA,
         )
 
     members = edges.map_batches(emit, batch_format="pyarrow")
@@ -217,22 +219,79 @@ def label_components_local(pairs: List[tuple]) -> Dict[str, str]:
     return {x: find(x) for x in list(parent)}
 
 
-def _keep_canonical_broadcast(
-    docs: ray.data.Dataset,
-    members: ray.data.Dataset,
-    id_col: str,
+def _canonical_losers(m: pd.DataFrame) -> pd.Index:
+    """(doc_id, cluster_id) member rows -> the member doc ids to DROP: a
+    member survives iff it IS the minimum of its clusters (a self row
+    cluster_id == doc_id, and no smaller cluster label)."""
+    stats = (
+        m.assign(_self=m["cluster_id"] == m["doc_id"])
+        .groupby("doc_id", sort=False)
+        .agg(mc=("cluster_id", "min"), sf=("_self", "any"))
+    )
+    survive = stats["sf"].to_numpy() & (
+        stats.index.to_numpy() == stats["mc"].to_numpy()
+    )
+    return stats.index[~survive]
+
+
+def _doc_rows(
+    docs: ray.data.Dataset, id_col: str, quality_col: str | None = None
 ) -> ray.data.Dataset:
-    """Broadcast route for ``dedup_keep_canonical``: the member table
-    fits the driver, so the drop set (clustered docs that are NOT their
-    cluster minimum) computes locally and the corpus flows through ONE
-    map-only Arrow filter — no corpus-wide exchange.  Same survive rule
-    as the co-partition ``keep_bucket``: a member survives iff it has a
-    self row (cluster_id == doc_id) and no smaller cluster label."""
+    """Corpus rows -> ``doc_id`` as string (the member tables' key type),
+    plus ``quality`` as int64 when ``quality_col`` is given."""
+
+    def body(batch: pa.Table) -> pa.Table:
+        cols = {"doc_id": batch[id_col].cast(pa.string())}
+        if quality_col is not None:
+            cols["quality"] = batch[quality_col].cast(pa.int64())
+        return pa.table(cols)
+
+    return docs.map_batches(body, batch_format="pyarrow")
+
+
+def _drop_losers(rows: ray.data.Dataset, losers) -> ray.data.Dataset:
+    """Broadcast route's last pass: ship the loser doc ids once and
+    stream ``rows`` (``_doc_rows`` output) through one map-only Arrow
+    filter."""
     import pyarrow.compute as pc
 
     from .broadcast import broadcast_get
 
-    mdf = members.to_pandas()  # bounded by broadcast_cap
+    loser_ref = ray.put(pa.array(list(losers), type=pa.string()))
+
+    def survivors(t: pa.Table) -> pa.Table:
+        drop = pc.is_in(t["doc_id"], value_set=broadcast_get(loser_ref))
+        return t.filter(pc.invert(drop))
+
+    return rows.map_batches(survivors, batch_format="pyarrow")
+
+
+def _co_partition_drop(
+    rows: ray.data.Dataset,
+    schema: pa.Schema,
+    members: ray.data.Dataset,
+    member_schema: pa.Schema,
+    losers_of: Callable[[pd.DataFrame], pd.Series],
+) -> ray.data.Dataset:
+    """Co-partition route's last pass: ``rows`` (``_doc_rows`` output)
+    and the member table meet on ``doc_id``; each sorted block drops the
+    rows ``losers_of`` its member rows names.  Both schemas are known by
+    construction, so an empty member set (which loses its Dataset
+    schema) keeps every row."""
+
+    def keep(d: pd.DataFrame, m: pd.DataFrame) -> pa.Table:
+        return pa.Table.from_pandas(
+            d[~d["doc_id"].isin(losers_of(m))], schema=schema, preserve_index=False
+        )
+
+    return _co_partition(rows, schema, members, member_schema, "doc_id", keep, 64)
+
+
+def _member_frame(members: ray.data.Dataset) -> pd.DataFrame:
+    """The (doc_id, cluster_id) member table on the driver — the
+    broadcast routes' input, bounded by ``broadcast_cap``.  An empty
+    member set loses its schema; rebuild the columns."""
+    mdf = members.to_pandas()
     if not len(mdf.columns):
         mdf = pd.DataFrame(
             {
@@ -240,23 +299,7 @@ def _keep_canonical_broadcast(
                 "cluster_id": pd.Series(dtype=object),
             }
         )
-    stats = (
-        mdf.assign(_self=mdf["cluster_id"] == mdf["doc_id"])
-        .groupby("doc_id", sort=False)
-        .agg(mc=("cluster_id", "min"), sf=("_self", "any"))
-    )
-    survive = stats["sf"].to_numpy() & (
-        stats.index.to_numpy() == stats["mc"].to_numpy()
-    )
-    losers = stats.index[~survive]
-    loser_ref = ray.put(pa.array(list(losers), type=pa.string()))
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].cast(pa.string())
-        drop = pc.is_in(ids, value_set=broadcast_get(loser_ref))
-        return pa.table({"doc_id": ids}).filter(pc.invert(drop))
-
-    return docs.map_batches(survivors, batch_format="pyarrow")
+    return mdf
 
 
 def dedup_keep_canonical(
@@ -272,73 +315,21 @@ def dedup_keep_canonical(
     Size-routed: a member table at most ``broadcast_cap`` rows (the
     common regime — members are a small fraction of the corpus)
     computes the drop set on the driver and streams the corpus through
-    one map-only filter (``_keep_canonical_broadcast``).  Above the
-    cap, the co-partition anti-join: membership rows and doc rows
-    shuffle on the same key (doc id as string); a doc survives iff it
-    has no membership row or IS its cluster_id.  No broadcast — scales
-    with the corpus.  Route-forced equivalence pinned in
+    one map-only filter (``_drop_losers``).  Above the cap, doc rows and
+    membership rows co-partition on the doc id and each sorted block
+    drops its own ``_canonical_losers`` (``_co_partition_drop``) — no
+    broadcast, scales with the corpus.  Both routes keep every doc row
+    whose id is not a loser; route-forced equivalence pinned in
     tests/test_concomp.py.
-
-    Contract: ``id_col`` values must be UNIQUE in ``docs`` (it is the
-    corpus key).  On duplicate ids the routes diverge — the broadcast
-    filter preserves every occurrence while the co-partition
-    ``keep_bucket`` emits one row per key.
     """
     members = label_components(pairs, col_a, col_b).materialize()
     if members.count() <= broadcast_cap:
-        return _keep_canonical_broadcast(docs, members, id_col)
+        losers = _canonical_losers(_member_frame(members))
+        return _drop_losers(_doc_rows(docs, id_col), losers)
 
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = [str(x) for x in batch[id_col].to_pylist()]
-        return pa.Table.from_pydict(
-            {"key": ids, "doc_id": ids, "cluster_id": [""] * len(ids)},
-            schema=pa.schema(
-                [("key", pa.string()), ("doc_id", pa.string()), ("cluster_id", pa.string())]
-            ),
-        )
-
-    def tag_members(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "key": batch["doc_id"].to_pylist(),
-                "doc_id": batch["doc_id"].to_pylist(),
-                "cluster_id": batch["cluster_id"].to_pylist(),
-            },
-            schema=pa.schema(
-                [("key", pa.string()), ("doc_id", pa.string()), ("cluster_id", pa.string())]
-            ),
-        )
-
-    tagged = docs.map_batches(tag_docs, batch_format="pyarrow").union(
-        members.map_batches(tag_members, batch_format="pyarrow")
+    return _co_partition_drop(
+        _doc_rows(docs, id_col), _ID_SCHEMA, members, _MEMBER_SCHEMA, _canonical_losers
     )
-
-    def keep_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized survive rule per key: no membership rows, or the doc
-        IS the minimum of its clusters (cluster_id == doc_id == key on
-        some membership row, and no smaller cluster label exists)."""
-        members = bucket[bucket["cluster_id"] != ""]
-        g = members.groupby("key", sort=False)["cluster_id"]
-        min_cluster = g.min()
-        is_self = (
-            members.assign(_self=members["cluster_id"] == members["key"])
-            .groupby("key", sort=False)["_self"]
-            .any()
-        )
-        keys = bucket["key"].drop_duplicates()
-        clustered = keys.isin(min_cluster.index).to_numpy()
-        mc = keys.map(min_cluster)
-        sf = keys.map(is_self).fillna(False).astype(bool)
-        survive = ~clustered | (sf.to_numpy() & (keys.to_numpy() == mc.to_numpy()))
-        return pd.DataFrame(
-            {"doc_id": keys.to_numpy(), "keep": survive.astype(bool)}
-        )
-
-    verdicts = bucketed_map_groups(tagged, "key", keep_bucket, n_buckets=64)
-    kept = verdicts.map_batches(
-        lambda t: t.filter(t["keep"]), batch_format="pyarrow"
-    ).select_columns(["doc_id"])
-    return kept
 
 
 def _cluster_winners(b: pd.DataFrame) -> pd.DataFrame:
@@ -362,6 +353,18 @@ def _cluster_winners(b: pd.DataFrame) -> pd.DataFrame:
     return b.merge(winners, on="cluster_id")[["doc_id", "winner"]]
 
 
+def _best_losers(mw: pd.DataFrame) -> pd.Series:
+    """(doc_id, winner) member rows -> the member doc ids to DROP (those
+    that are not their cluster's winner).  A max_rounds exit can leave a
+    doc two membership rows under different labels; the lexicographically
+    smallest winner per doc decides, so the outcome never depends on Ray
+    block arrival order."""
+    mw = mw.sort_values(["doc_id", "winner"], kind="mergesort").drop_duplicates(
+        "doc_id", keep="first"
+    )
+    return mw.loc[mw["winner"] != mw["doc_id"], "doc_id"]
+
+
 def _keep_best_broadcast(
     docs: ray.data.Dataset,
     members: ray.data.Dataset,
@@ -377,39 +380,23 @@ def _keep_best_broadcast(
 
     ``docs`` executes twice (member-quality collect, then the survivor
     filter) — the same consumption count as the co-partition route's
-    quality-join + union-tag.  Parquet-backed inputs re-scan the
+    quality-join + survivor co_partition.  Parquet-backed inputs re-scan the
     pruned columns; pass a materialized Dataset when ``docs`` is the
     tail of an expensive derived pipeline."""
     import pyarrow.compute as pc
 
     from .broadcast import broadcast_get
 
-    out_schema = pa.schema([("doc_id", pa.string()), ("quality", pa.int64())])
-    mdf = members.to_pandas()  # bounded by broadcast_cap (2 short strings/row)
-    if not len(mdf.columns):  # empty member set loses its schema
-        mdf = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype=object),
-                "cluster_id": pd.Series(dtype=object),
-            }
-        )
+    mdf = _member_frame(members)
     member_ref = ray.put(pa.array(mdf["doc_id"].tolist(), type=pa.string()))
+    rows = _doc_rows(docs, id_col, quality_col)
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch[id_col].cast(pa.string()),
-                "quality": batch[quality_col].cast(pa.int64()),
-            }
-        )
-
-    def member_quality(batch: pa.Table) -> pa.Table:
-        t = project(batch)
+    def member_quality(t: pa.Table) -> pa.Table:
         return t.filter(
             pc.is_in(t["doc_id"], value_set=broadcast_get(member_ref))
         )
 
-    qdf = docs.map_batches(member_quality, batch_format="pyarrow").to_pandas()
+    qdf = rows.map_batches(member_quality, batch_format="pyarrow").to_pandas()
     if not len(qdf.columns):
         qdf = pd.DataFrame(
             {
@@ -417,22 +404,9 @@ def _keep_best_broadcast(
                 "quality": pd.Series(dtype="int64"),
             }
         )
-    mw = _cluster_winners(mdf.merge(qdf, on="doc_id"))
-    # a max_rounds exit can leave a doc two membership rows under
-    # different labels; keep the lexicographically smallest winner per
-    # doc — the same arrival-order-free rule as the co-partition path
-    mw = mw.sort_values(["doc_id", "winner"], kind="mergesort").drop_duplicates(
-        "doc_id", keep="first"
+    return _drop_losers(
+        rows, _best_losers(_cluster_winners(mdf.merge(qdf, on="doc_id")))
     )
-    losers = mw.loc[mw["winner"] != mw["doc_id"], "doc_id"]
-    loser_ref = ray.put(pa.array(losers.tolist(), type=pa.string()))
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        t = project(batch)
-        drop = pc.is_in(t["doc_id"], value_set=broadcast_get(loser_ref))
-        return t.filter(pc.invert(drop)).cast(out_schema)
-
-    return docs.map_batches(survivors, batch_format="pyarrow")
 
 
 def dedup_keep_best(
@@ -464,92 +438,22 @@ def dedup_keep_best(
          rows (doc-keyed),
       3. one cluster-keyed co-partition picks each cluster's winner and
          maps every member to it,
-      4. one doc-keyed co-partition union-tag filter: a doc survives iff
-         it has no membership row or IS its cluster's winner.
+      4. one doc-keyed ``_co_partition_drop``: a doc survives iff it
+         is not one of its block's ``_best_losers``.
     Both routes produce identical survivors (route-forced equivalence
     test in tests/test_round5_ops.py).
     """
-    from .bucketed import bucketed_equi_join, bucketed_map_groups
+    from .bucketed import bucketed_equi_join
 
     members = label_components(pairs, col_a, col_b).materialize()
     if members.count() <= broadcast_cap:
         return _keep_best_broadcast(docs, members, quality_col, id_col)
 
-    def doc_quality(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "doc_id": [str(x) for x in batch[id_col].to_pylist()],
-                "quality": batch[quality_col].cast(pa.int64()),
-            },
-            schema=pa.schema([("doc_id", pa.string()), ("quality", pa.int64())]),
-        )
-
-    members_q = bucketed_equi_join(
-        members,
-        docs.map_batches(doc_quality, batch_format="pyarrow"),
-        on="doc_id",
-        how="inner",
-    )
-
+    rows = _doc_rows(docs, id_col, quality_col)
+    members_q = bucketed_equi_join(members, rows, on="doc_id", how="inner")
     member_winners = bucketed_map_groups(
         members_q, "cluster_id", _cluster_winners, n_buckets=64
     )
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = [str(x) for x in batch[id_col].to_pylist()]
-        return pa.Table.from_pydict(
-            {
-                "key": ids,
-                "quality": batch[quality_col].cast(pa.int64()),
-                "winner": [""] * len(ids),
-            },
-            schema=pa.schema(
-                [("key", pa.string()), ("quality", pa.int64()), ("winner", pa.string())]
-            ),
-        )
-
-    def tag_members(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.Table.from_pydict(
-            {
-                "key": batch["doc_id"].to_pylist(),
-                "quality": [0] * n,
-                "winner": batch["winner"].to_pylist(),
-            },
-            schema=pa.schema(
-                [("key", pa.string()), ("quality", pa.int64()), ("winner", pa.string())]
-            ),
-        )
-
-    tagged = docs.map_batches(tag_docs, batch_format="pyarrow").union(
-        member_winners.map_batches(tag_members, batch_format="pyarrow")
+    return _co_partition_drop(
+        rows, _BEST_SCHEMA, member_winners, _WINNER_SCHEMA, _best_losers
     )
-
-    def keep_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        """A doc row survives iff no membership row shares its key, or
-        the membership row's winner IS the key (exactly one membership
-        row per clustered doc — label_components emits one row per
-        member)."""
-        mrows = bucket[bucket["winner"] != ""]
-        # label_components emits one membership row per member at its
-        # fixpoint, but a max_rounds exit can leave a doc with two rows
-        # under different labels; reduce to the lexicographically
-        # smallest winner per key so the outcome never depends on Ray
-        # block arrival order (the dedup_keep_canonical groupby lesson)
-        if mrows["key"].duplicated().any():
-            mrows = mrows.sort_values(
-                ["key", "winner"], kind="mergesort"
-            ).drop_duplicates("key", keep="first")
-        winner_of = dict(zip(mrows["key"], mrows["winner"]))
-        drows = bucket[bucket["winner"] == ""]
-        keys = drows["key"].to_numpy()
-        win = drows["key"].map(winner_of)
-        survive = win.isna().to_numpy() | (win.to_numpy() == keys)
-        return pd.DataFrame(
-            {
-                "doc_id": keys[survive],
-                "quality": drows["quality"].to_numpy()[survive],
-            }
-        )
-
-    return bucketed_map_groups(tagged, "key", keep_bucket, n_buckets=64)

@@ -63,6 +63,12 @@ def test_dedup_keep_canonical():
         dedup_keep_canonical(docs, pairs, broadcast_cap=-1).to_pandas()["doc_id"]
     )
     assert kept_co == kept
+    # no pairs, or pairs naming no corpus doc: an empty member side on
+    # the forced co-partition route keeps every doc
+    absent = _pairs_ds([("y0", "y1")])
+    for none in (absent.filter(lambda r: False), absent):
+        kept_none = dedup_keep_canonical(docs, none, broadcast_cap=-1).to_pandas()
+        assert sorted(kept_none["doc_id"]) == [f"x{i}" for i in range(10)]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -119,3 +125,7 @@ def test_dedup_keep_best_random_graphs_match_local_reference():
             assert dict(zip(got["doc_id"], got["quality"])) == {
                 d: quality[d] for d in expect
             }
+    # forced co-partition route: pairs naming no corpus doc leave an empty
+    # member-winner side, which keeps every doc
+    got = dedup_keep_best(docs, _pairs_ds([("y0", "y1")]), broadcast_cap=-1)
+    assert sorted(got.to_pandas()["doc_id"], key=int) == sorted(ids, key=int)

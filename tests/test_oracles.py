@@ -152,13 +152,32 @@ def test_tfidf_routes_equivalent(monkeypatch):
 
 def test_exposed_query_surface_is_fifty():
     """``__ray_entry__`` exposes exactly 50 registry entries with their
-    oracles: the registry minus the local-only set."""
+    oracles, named opt-in in ``_EXPOSED``; a new registry op stays
+    local-only until it is added there."""
     import __ray_entry__ as entry
 
     from pdf_ocr_comparison_tool_ray.pipelines.queries import SQL_QUERIES
 
-    assert entry._LOCAL_ONLY <= set(SQL_QUERIES)
-    assert len(SQL_QUERIES) - len(entry._LOCAL_ONLY) == 50
+    assert set(entry._EXPOSED) <= set(SQL_QUERIES)
+    assert len(set(entry._EXPOSED)) == len(entry._EXPOSED) == 50
+    assert set(entry.queries()) == set(entry.oracle_sql()) == {
+        "extraction_pipeline", "compare_pipeline", "set_similarity_join",
+        "embedding_dup_lsh", "semdedup", "streaming_dedup_ingest",
+        "keyword_topk", "project_detect", "quality_quantile_filter",
+        "classify_cascade", "order_items", "paragraph_dedup",
+        "boilerplate_strip", "pack_sequences", "knn_filtered",
+        "domain_quota_sample", "token_budget_select", "exactsubstr_dedup",
+        "mix_resample", "dsir_select", "doc_repetition_stats",
+        "frame_sample", "shuffle_shards", "decontam_frac", "pii_redact",
+        "near_dedup_keep_best", "bpe_train", "perplexity_buckets",
+        "approx_quantile_hist", "chunk_windows", "pmi_cooccur",
+        "winnow_fingerprint", "bm25_topk", "pagerank", "gopher_filter",
+        "chi2_keyness", "label_propagation", "kmeans", "pq_ann",
+        "image_phash_dup", "textrank_keywords", "heavy_hitters",
+        "containment_search", "dict_match", "edit_distance_join",
+        "skyline_select", "zorder_layout", "upsert_merge",
+        "jsd_source_drift", "naive_bayes_classify",
+    }
 
 
 _DICT_MATCH_AT_2_CPUS = """

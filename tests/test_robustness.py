@@ -208,6 +208,160 @@ def test_bucketed_equi_join_outer_modes():
         .reset_index(drop=True)
     )
     assert rj["k"].tolist() == [2, 3]
+    # a fully matched block still promotes the null-fillable int64 side,
+    # values above 2^53 included
+    big = pd.DataFrame({"k": [2, 3], "big": [1 << 60, (1 << 60) + 1]})
+    lj = bucketed_equi_join(
+        ray.data.from_pandas(pd.DataFrame({"k": [2]})),
+        ray.data.from_pandas(big),
+        on="k",
+        how="left",
+        n_buckets=4,
+    ).to_pandas()
+    assert lj["big"].tolist() == [float(1 << 60)]
+
+
+def _co_partition_seen(key: str):
+    """A co_partition kernel that reports, per key, the rows it saw on
+    each side (exact int64 payloads as text) and the frames' dtypes."""
+
+    def kernel(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        def vs(df):
+            return df.groupby(key)["v"].agg(lambda x: ",".join(map(str, sorted(x))))
+
+        def cols(df):
+            return ",".join(f"{c}:{t}" for c, t in df.dtypes.items())
+
+        keys = pd.Series(sorted(set(l[key]) | set(r[key])), dtype=l[key].dtype)
+        return pd.DataFrame(
+            {
+                key: keys,
+                "l_vs": keys.map(vs(l)).fillna("").astype(str),
+                "r_vs": keys.map(vs(r)).fillna("").astype(str),
+                "l_cols": cols(l),
+                "r_cols": cols(r),
+            }
+        )
+
+    return kernel
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_co_partition_contract():
+    """``co_partition`` hands each kernel call only its own side's
+    columns, under their own names and dtypes (int64 above 2^53 intact,
+    a name present on both sides kept apart), and every key reaches
+    exactly one call — for an int64 and a string key, more buckets than
+    keys, and blocks holding one side only.  A zero-row side that keeps
+    its schema works; a side with no schema raises."""
+    from pdf_ocr_comparison_tool_ray.stages.bucketed import co_partition
+
+    rng = np.random.RandomState(5)
+    big = 1 << 60
+    ldf = pd.DataFrame(
+        {
+            "k": big + rng.randint(0, 12, size=80),
+            "s": [f"κ{x}" for x in rng.randint(0, 15, size=80)],
+            "v": big + np.arange(80, dtype=np.int64),
+            "only_l": rng.rand(80),
+        }
+    )
+    rdf = pd.DataFrame(
+        {
+            "k": big + rng.randint(6, 20, size=50),
+            "s": [f"κ{x}" for x in rng.randint(10, 25, size=50)],
+            "v": big + 1000 + np.arange(50, dtype=np.int64),
+            "only_r": [f"r{i}" for i in range(50)],
+        }
+    )
+    left = ray.data.from_pandas(ldf).repartition(4)
+    right = ray.data.from_pandas(rdf).repartition(3)
+    right_empty = right.map_batches(
+        lambda t: t.slice(0, 0), batch_format="pyarrow"
+    )
+
+    for key in ("k", "s"):
+        for r_ds, r_df in ((right, rdf), (right_empty, rdf.iloc[:0])):
+            got = co_partition(left, r_ds, key, _co_partition_seen(key)).to_pandas()
+            assert not got[key].duplicated().any()  # one call per key
+            assert set(got["l_cols"]) == {
+                "k:int64,s:object,v:int64,only_l:float64"
+            }
+            assert set(got["r_cols"]) == {"k:int64,s:object,v:int64,only_r:object"}
+            # pandas reference: the same kernel, once, over whole frames
+            want = _co_partition_seen(key)(ldf, r_df)[[key, "l_vs", "r_vs"]]
+            got = got.sort_values(key).reset_index(drop=True)
+            pd.testing.assert_frame_equal(got[want.columns], want)
+
+    with pytest.raises(ValueError, match="empty Dataset"):
+        co_partition(left, ray.data.from_items([]), "k", _co_partition_seen("k"))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_asof_join_backward_one_sided_blocks():
+    """``asof_join_backward`` over users with events only, users with
+    orders only, and sides filtered to zero rows (every block then holds
+    one side): typed output and NaN matches equal a brute-force
+    backward as-of reference."""
+    from pdf_ocr_comparison_tool_ray.stages.asof import asof_join_backward
+
+    rng = np.random.RandomState(9)
+    t0 = np.datetime64("2024-01-01T00:00:00", "us")
+    ev = pd.DataFrame(
+        {
+            "event_id": np.arange(60, dtype=np.int64),
+            "user_id": rng.randint(0, 15, size=60).astype(np.int64),
+            "ts": t0 + rng.randint(0, 100, size=60).astype("timedelta64[s]"),
+        }
+    )
+    od = pd.DataFrame(
+        {
+            "user_id": np.r_[rng.randint(0, 10, 30), rng.randint(15, 20, 10)],
+            "o_ts": t0 + rng.randint(0, 100, size=40).astype("timedelta64[s]"),
+            "cents": rng.randint(0, 1000, size=40).astype(np.int64),
+        }
+    )
+
+    def reference(l: pd.DataFrame, r: pd.DataFrame) -> list:
+        out = []
+        for e in l.itertuples():
+            m = r[(r["user_id"] == e.user_id) & (r["o_ts"] <= e.ts)]
+            m = m[m["o_ts"] == m["o_ts"].max()]
+            out.append((e.event_id, float(m["cents"].max()) if len(m) else None))
+        return sorted(out)
+
+    left = ray.data.from_pandas(ev).repartition(4)
+    right = ray.data.from_pandas(od).repartition(3)
+    none = lambda t: t.slice(0, 0)  # noqa: E731
+    cases = (
+        (left, right, ev, od),
+        (left, right.map_batches(none, batch_format="pyarrow"), ev, od.iloc[:0]),
+        (left.map_batches(none, batch_format="pyarrow"), right, ev.iloc[:0], od),
+    )
+    for l_ds, r_ds, l_df, r_df in cases:
+        got = asof_join_backward(
+            l_ds,
+            r_ds,
+            key="user_id",
+            left_ts="ts",
+            right_ts="o_ts",
+            left_cols=["event_id"],
+            right_val="cents",
+        ).to_pandas()
+        want = reference(l_df, r_df)
+        assert len(got) == len(want)
+        if want:
+            assert got.dtypes.astype(str).to_dict() == {
+                "user_id": "int64",
+                "event_id": "int64",
+                "ts_us": "int64",
+                "cents": "float64",
+            }
+        pairs = sorted(
+            (e, None if np.isnan(c) else c)
+            for e, c in zip(got.get("event_id", []), got.get("cents", []))
+        )
+        assert pairs == want
 
 
 @pytest.mark.usefixtures("ray_session")

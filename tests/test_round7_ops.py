@@ -362,3 +362,35 @@ def test_ams_f2_matches_brute_sketch_and_bounds_error(ray_session, tmp_path):
                 cnt.update(_TOKEN_RE.findall(t))
         true_f2 = sum(v * v for v in cnt.values())
         assert true_f2 / 3 <= out[lang] <= true_f2 * 3
+
+
+def test_max_cover_ties_and_early_stop_match_sql(ray_session, tmp_path):
+    # docs 7 and 4 tie on round-1 gain (3 new bigrams each): the smaller
+    # doc_id wins; doc 9's bigrams are a subset of doc 7's and doc 2 has
+    # none, so after two rounds no gain >= 1 is left and the greedy loop
+    # stops before _MAXCOV_K
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import (
+        _MAXCOV_K,
+        q_max_cover_select,
+        _sql_max_cover,
+    )
+
+    pd.DataFrame(
+        {
+            "doc_id": [7, 4, 9, 2],
+            "text": [
+                "alpha beta gamma delta",
+                "eta theta iota kappa",
+                "Alpha beta gamma",
+                "lonely",
+            ],
+        }
+    ).to_parquet(tmp_path / "documents.parquet")
+
+    got = q_max_cover_select(str(tmp_path))
+    want = _oracle(str(tmp_path), _sql_max_cover())
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), want[got.columns].reset_index(drop=True)
+    )
+    assert len(got) == 2 < _MAXCOV_K
+    assert got[["doc_id", "gain"]].values.tolist() == [[4, 3], [7, 3]]
