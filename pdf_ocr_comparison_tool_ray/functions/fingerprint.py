@@ -96,7 +96,3 @@ def simhash64(tokens: List[str]) -> int:
         if acc[i] > 0:
             out |= 1 << i
     return out
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")

@@ -168,25 +168,18 @@ GROUP BY 1
 # corpus (the new-crawl-vs-100TB shape) — the two-corpus anti-join form
 # of exact_dedup.  Here the odd doc_ids ingest against the even half.
 # ---------------------------------------------------------------------------
-_INGEST_KEY_CAP = 5_000_000
-
-
 def q_ingest_dedup(sf_dir: str):
     """Admit each incoming document iff its content key does not exist
     in the standing corpus.
 
-    Size-routed like the dedup family: the standing side reduces to
-    batch-unique content keys (32-byte rows, never texts); when the key
-    table fits (``_INGEST_KEY_CAP``) it broadcasts and the incoming
-    half streams ONE map-only membership filter — at 100 TB standing /
-    small daily increments this is the normal regime, and the standing
-    keys would come from the dedup-keys sideline the curate job already
-    lands per partition.  Above the cap, a bucketed anti-join
-    co-partitions both sides on the key (no broadcast state).  Both
-    routes are equivalence-pinned."""
-    import pyarrow.compute as pc
-
-    from ..stages.bucketed import bucketed_equi_join
+    The standing side reduces to batch-unique content keys (32-byte
+    rows, never texts), and ``size_routed_join`` anti-joins the incoming
+    half against them: under its broadcast cap the incoming half streams
+    ONE map-only membership filter — at 100 TB standing / small daily
+    increments this is the normal regime, and the standing keys would
+    come from the dedup-keys sideline the curate job already lands per
+    partition — and above it both sides co-partition on the key."""
+    from ..stages.bucketed import size_routed_join
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -213,37 +206,16 @@ def q_ingest_dedup(sf_dir: str):
             {"content_key": pa.array(pd.unique(k), type=pa.string())}
         )
 
-    keys_ds = keyed_ds.map_batches(
-        standing_keys, batch_format="pyarrow"
-    ).materialize()
-
     def incoming(batch: pa.Table) -> pa.Table:
         return batch.filter(
             pc.equal(pc.bit_wise_and(batch["doc_id"], 1), 1)
         )
 
-    if keys_ds.count() <= _INGEST_KEY_CAP:
-        kdf = keys_ds.to_pandas()  # bounded by the cap (32 B/key rows)
-        if not len(kdf.columns):
-            kdf = pd.DataFrame({"content_key": pd.Series(dtype=object)})
-        key_ref = ray.put(
-            pa.array(pd.unique(kdf["content_key"]), type=pa.string())
-        )
-
-        def admit(batch: pa.Table) -> pa.Table:
-            t = incoming(batch)
-            seen = pc.is_in(
-                t["content_key"], value_set=_broadcast_get(key_ref)
-            )
-            return t.filter(pc.invert(seen))
-
-        return keyed_ds.map_batches(admit, batch_format="pyarrow")
-
-    return bucketed_equi_join(
+    return size_routed_join(
         keyed_ds.map_batches(incoming, batch_format="pyarrow"),
-        keys_ds,
-        on="content_key",
-        how="anti",
+        keyed_ds.map_batches(standing_keys, batch_format="pyarrow"),
+        "content_key",
+        "anti",
     )
 
 
@@ -295,84 +267,38 @@ SELECT DISTINCT md5(text) AS content_md5 FROM documents
 # J1: exact-key match join (probe = odd doc_id, build = even doc_id)
 # ---------------------------------------------------------------------------
 def q_exact_match_join(sf_dir: str):
+    from ..stages.bucketed import size_routed_join
+
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def keyed(batch: pa.Table) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].to_pandas(),
-                "content_key": [_prefix_key(t) for t in batch["text"].to_pylist()],
-            }
-        )
-
-    # the build side is HALF THE CORPUS (every even doc_id), so it is
-    # size-routed like run_compare_auto: broadcast index under the cap,
-    # co-partition equi-join on content_key above it (a per-worker-pinned
-    # corpus-proportional dict would multiply by the worker count)
-    from .compare import BROADCAST_MAX_BUILD_ROWS
-
-    try:
-        import pyarrow.parquet as _pq
-
-        n_docs = _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    except (OSError, ValueError):
-        n_docs = None
-    if n_docs is None or n_docs // 2 > BROADCAST_MAX_BUILD_ROWS:
-        from ..stages.bucketed import bucketed_equi_join
-
-        # fan-out pin: probe AND build both consume keyed_ds — without
-        # materialize() Ray re-executes the md5 prefix-key pass over the
-        # full corpus once per branch (bounded: two small columns/row)
-        keyed_ds = ds.map_batches(keyed, batch_format="pyarrow").materialize()
-        probe_side = keyed_ds.map_batches(
-            lambda t: t.filter(pc.equal(pc.bit_wise_and(t["doc_id"], 1), 1))
-            .rename_columns(["source_doc_id", "content_key"]),
-            batch_format="pyarrow",
-        )
-        build_side = keyed_ds.map_batches(
-            lambda t: t.filter(pc.equal(pc.bit_wise_and(t["doc_id"], 1), 0))
-            .rename_columns(["target_doc_id", "content_key"]),
-            batch_format="pyarrow",
-        )
-        j = bucketed_equi_join(probe_side, build_side, on="content_key", how="inner")
-        return j.map_batches(
-            lambda t: pd.DataFrame(
+    def side(parity: int, id_col: str):
+        # each side keys only its own half of the corpus; the build side
+        # (every even doc_id) is HALF THE CORPUS, so the join is
+        # size-routed: broadcast under the cap, co-partition above it
+        def keyed(batch: pa.Table) -> pd.DataFrame:
+            t = batch.filter(pc.equal(pc.bit_wise_and(batch["doc_id"], 1), parity))
+            return pd.DataFrame(
                 {
-                    "source_doc_id": t["source_doc_id"].to_pandas().astype("int64"),
-                    "target_doc_id": t["target_doc_id"].to_pandas().astype("int64"),
-                    "similarity": pd.Series([1.0] * len(t), dtype="float64"),
+                    id_col: t["doc_id"].to_pandas(),
+                    "content_key": [_prefix_key(x) for x in t["text"].to_pylist()],
                 }
-            ),
-            batch_format="pyarrow",
-        )
+            )
 
-    build_rows = ds.map_batches(keyed, batch_format="pyarrow").to_pandas()
-    build = build_rows[build_rows["doc_id"] % 2 == 0]
-    index: dict = {}
-    for did, key in zip(build["doc_id"], build["content_key"]):
-        index.setdefault(key, []).append(int(did))
-    index_ref = ray.put(index)
+        return ds.map_batches(keyed, batch_format="pyarrow")
 
-    def probe(batch: pa.Table) -> pd.DataFrame:
-        index = _broadcast_get(index_ref)
-        src, tgt = [], []
-        for did, text in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            if did % 2 == 0:
-                continue
-            for hit in index.get(_prefix_key(text), ()):
-                src.append(did)
-                tgt.append(hit)
-        return pd.DataFrame(
+    j = size_routed_join(
+        side(1, "source_doc_id"), side(0, "target_doc_id"), "content_key"
+    )
+    return j.map_batches(
+        lambda t: pd.DataFrame(
             {
-                "source_doc_id": pd.Series(src, dtype="int64"),
-                "target_doc_id": pd.Series(tgt, dtype="int64"),
-                "similarity": pd.Series([1.0] * len(src), dtype="float64"),
+                "source_doc_id": t["source_doc_id"].to_pandas().astype("int64"),
+                "target_doc_id": t["target_doc_id"].to_pandas().astype("int64"),
+                "similarity": pd.Series([1.0] * len(t), dtype="float64"),
             }
-        )
-
-    return ds.map_batches(probe, batch_format="pyarrow")
+        ),
+        batch_format="pyarrow",
+    )
 
 
 SQL_EXACT_MATCH_JOIN = f"""
@@ -971,33 +897,71 @@ GROUP BY l_returnflag, l_linestatus
 """
 
 
-def q_nation_revenue(sf_dir: str):
-    """Broadcast join: orders -> customer -> nation, grouped revenue."""
-    cust = (
-        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    )
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    cust_to_nation = dict(
-        zip(
-            cust["c_custkey"],
-            cust["c_nationkey"].map(dict(zip(nation["n_nationkey"], nation["n_name"]))),
-        )
-    )
-    lookup_ref = ray.put(cust_to_nation)
+def _revenue_by_name(sf_dir, fact, dim, names, count_col):
+    """Revenue of a fact table grouped by a nation-level name.
 
-    def add_nation(batch: pa.Table) -> pd.DataFrame:
+    ``fact`` = (table, key, price column) streams through
+    ``size_routed_join`` against ``dim`` = (table, key, nationkey
+    column) — the customer or supplier table — and each batch
+    pre-aggregates per nationkey, so ``_driver_reduce`` collects at most
+    25 rows per block.  ``names`` (nationkey -> name) attaches after
+    that 25-row reduce; keys it lacks drop, as in an inner join.
+    """
+    from ..stages.bucketed import size_routed_join
+
+    f_table, f_key, price = fact
+    d_table, d_key, nat = dim
+
+    def cents(batch: pa.Table) -> pd.DataFrame:
         df = batch.to_pandas()
-        df["n_name"] = df["o_custkey"].map(_broadcast_get(lookup_ref))
-        df["rev_cents"] = np.rint(df["o_totalprice"] * 100).astype("int64")
-        return df.groupby("n_name", as_index=False).agg(
-            n_orders=("o_custkey", "size"), revenue_cents=("rev_cents", "sum")
+        return pd.DataFrame(
+            {
+                d_key: df[f_key],
+                "cents": np.rint(df[price] * 100).astype("int64"),
+            }
         )
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    return _driver_reduce(
-        orders.map_batches(add_nation, batch_format="pyarrow"),
-        ["n_name"],
-        ["n_orders", "revenue_cents"],
+    def per_nation(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(nat, as_index=False).agg(
+            **{count_col: ("cents", "size")}, revenue_cents=("cents", "sum")
+        )
+
+    joined = size_routed_join(
+        _read(sf_dir, f_table, [f_key, price]).map_batches(
+            cents, batch_format="pyarrow"
+        ),
+        _read(sf_dir, d_table, [d_key, nat]),
+        d_key,
+    )
+    parts = _driver_reduce(
+        joined.map_batches(per_nation, batch_format="pandas"),
+        [nat],
+        [count_col, "revenue_cents"],
+    )
+    name = names.name
+    out = (
+        parts.assign(**{name: parts[nat].map(names)})
+        .groupby(name, as_index=False)[[count_col, "revenue_cents"]]
+        .sum()
+    )
+    return out.sort_values(name).reset_index(drop=True)
+
+
+def _nation_names(sf_dir: str) -> pd.Series:
+    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
+    return pd.Series(
+        nation["n_name"].values, index=nation["n_nationkey"].values, name="n_name"
+    )
+
+
+def q_nation_revenue(sf_dir: str):
+    """orders -> customer -> nation, grouped revenue."""
+    return _revenue_by_name(
+        sf_dir,
+        ("orders", "o_custkey", "o_totalprice"),
+        ("customer", "c_custkey", "c_nationkey"),
+        _nation_names(sf_dir),
+        "n_orders",
     )
 
 
@@ -1496,7 +1460,7 @@ WHERE list_cosine_similarity(a.v, b.v) >= 0.45
 """
 
 # ---------------------------------------------------------------------------
-# left-anti join, co-shuffle (no broadcast): customers with zero orders.
+# left-anti join, size-routed: customers with zero orders.
 # The reference's "未找到" branch is its only anti-join-like construct
 # (content_matcher.py:332-341); here it is a first-class operator.
 # ---------------------------------------------------------------------------
@@ -1504,17 +1468,17 @@ def q_customers_without_orders(sf_dir: str):
     """Customers with no order above the price floor (floor chosen so the
     anti side is non-empty on the synthetic data; plain 'no orders at
     all' is vacuous there)."""
-    from ..stages.bucketed import bucketed_equi_join
+    from ..stages.bucketed import size_routed_join
 
     def big_orders(t: pa.Table) -> pa.Table:
-        # the filter runs on the probe side, before the shuffle
+        # the filter runs on the order side, before the join
         big = t.filter(pc.greater(t["o_totalprice"], 300000.0))
         return pa.table({"c_custkey": big["o_custkey"]})
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     orders = orders.map_batches(big_orders, batch_format="pyarrow")
-    return bucketed_equi_join(cust, orders, on="c_custkey", how="anti")
+    return size_routed_join(cust, orders, "c_custkey", "anti")
 
 
 SQL_CUSTOMERS_WITHOUT_ORDERS = """
@@ -1523,97 +1487,21 @@ WHERE c_custkey NOT IN (SELECT o_custkey FROM orders WHERE o_totalprice > 300000
 """
 
 # ---------------------------------------------------------------------------
-# large-large co-shuffle join + tiny broadcast dims: revenue by region.
-# customer x orders co-partition on custkey (neither side broadcast);
-# nation->region is config-sized and broadcast (J7 pattern).
+# revenue by region: orders x customer size-routed on custkey, then the
+# config-sized nation -> region names attach to the 25 nation rows
 # ---------------------------------------------------------------------------
 def q_region_revenue(sf_dir: str):
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).to_pandas()
     region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    nat_to_region = dict(
-        zip(
-            nation["n_nationkey"],
-            nation["n_regionkey"].map(
-                dict(zip(region["r_regionkey"], region["r_name"]))
-            ),
-        )
-    )
-
-    # size-routed build side (the run_compare_auto rule): when customer
-    # fits the broadcast budget, ship custkey->region once via ray.put
-    # and the whole query is one shuffle-free map + driver reduce over
-    # 5 region rows.  Above the cap, orders pre-aggregate per customer
-    # and one bucketed_equi_join attaches each customer's nation before
-    # the same driver reduce.
-    from .compare import BROADCAST_MAX_BUILD_ROWS
-
-    try:
-        import pyarrow.parquet as _pq
-
-        n_cust = _pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-    except (OSError, ValueError):
-        n_cust = None
-    if n_cust is not None and n_cust <= BROADCAST_MAX_BUILD_ROWS:
-        cust_df = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-        cust_region = pd.Series(
-            cust_df["c_nationkey"].map(nat_to_region).values,
-            index=cust_df["c_custkey"].values,
-        )
-        region_ref = ray.put(cust_region)
-
-        def partial_rev(batch: pa.Table) -> pd.DataFrame:
-            lookup = _broadcast_get(region_ref)
-            df = batch.to_pandas()
-            out = pd.DataFrame(
-                {
-                    "r_name": df["o_custkey"].map(lookup),
-                    "rev_cents": np.rint(df["o_totalprice"] * 100).astype("int64"),
-                }
-            ).dropna(subset=["r_name"])  # inner join: drop unknown customers
-            return out.groupby("r_name", as_index=False).agg(
-                n_orders=("rev_cents", "size"), revenue_cents=("rev_cents", "sum")
-            )
-
-        orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        return _driver_reduce(
-            orders.map_batches(partial_rev, batch_format="pyarrow"),
-            ["r_name"],
-            ["n_orders", "revenue_cents"],
-        )
-
-    from ..stages.bucketed import bucketed_equi_join
-
-    def per_customer(batch: pa.Table) -> pd.DataFrame:
-        # combiner: one (custkey, revenue, count) row per customer per
-        # batch crosses the co-partition shuffle
-        df = batch.to_pandas()
-        return (
-            df.assign(rev_cents=np.rint(df["o_totalprice"] * 100).astype("int64"))
-            .groupby("o_custkey", as_index=False)
-            .agg(rev_cents=("rev_cents", "sum"), n_orders=("o_totalprice", "size"))
-            .rename(columns={"o_custkey": "c_custkey"})
-        )
-
-    lookup_ref = ray.put(nat_to_region)
-
-    def add_region(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        df["r_name"] = df["c_nationkey"].map(_broadcast_get(lookup_ref))
-        return df.groupby("r_name", as_index=False).agg(
-            n_orders=("n_orders", "sum"), revenue_cents=("rev_cents", "sum")
-        )
-
-    joined = bucketed_equi_join(
-        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
-            per_customer, batch_format="pyarrow"
+    names = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
+    return _revenue_by_name(
+        sf_dir,
+        ("orders", "o_custkey", "o_totalprice"),
+        ("customer", "c_custkey", "c_nationkey"),
+        pd.Series(
+            names["r_name"].values, index=names["n_nationkey"].values, name="r_name"
         ),
-        on="c_custkey",
-    )
-    return _driver_reduce(
-        joined.map_batches(add_region, batch_format="pyarrow"),
-        ["r_name"],
-        ["n_orders", "revenue_cents"],
+        "n_orders",
     )
 
 
@@ -2179,33 +2067,16 @@ FROM m GROUP BY date
 """
 
 # ---------------------------------------------------------------------------
-# supplier-side revenue rollup: fact table + two broadcast dims
-# (lineitem -> supplier -> nation), batch pre-agg before one tiny groupby
+# supplier-side revenue rollup: lineitem x supplier size-routed on
+# suppkey, batch pre-agg per nation, names on the 25-row result
 # ---------------------------------------------------------------------------
 def q_supplier_nation_revenue(sf_dir: str):
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    supp_to_nation = dict(
-        zip(
-            supp["s_suppkey"],
-            supp["s_nationkey"].map(dict(zip(nation["n_nationkey"], nation["n_name"]))),
-        )
-    )
-    lookup_ref = ray.put(supp_to_nation)
-
-    def add_nation(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        df["n_name"] = df["l_suppkey"].map(_broadcast_get(lookup_ref))
-        df["rev_cents"] = np.rint(df["l_extendedprice"] * 100).astype("int64")
-        return df.groupby("n_name", as_index=False).agg(
-            n_items=("l_suppkey", "size"), revenue_cents=("rev_cents", "sum")
-        )
-
-    items = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice"])
-    return _driver_reduce(
-        items.map_batches(add_nation, batch_format="pyarrow"),
-        ["n_name"],
-        ["n_items", "revenue_cents"],
+    return _revenue_by_name(
+        sf_dir,
+        ("lineitem", "l_suppkey", "l_extendedprice"),
+        ("supplier", "s_suppkey", "s_nationkey"),
+        _nation_names(sf_dir),
+        "n_items",
     )
 
 
@@ -4243,10 +4114,6 @@ def _tf_pairs(ds):
 
 
 _TFIDF_K = 5
-# vocab sizes at or below this broadcast the df lookup (ray.put once,
-# per-worker memoized read) — the common case after any min-df pruning;
-# above it the bucketed token join remains the fallback
-TFIDF_BROADCAST_VOCAB_MAX = 2_000_000
 
 
 def _df_table(pairs):
@@ -4279,38 +4146,22 @@ def _df_table(pairs):
 
 
 def q_tfidf_topk(sf_dir: str):
-    from ..stages.bucketed import bucketed_equi_join, bucketed_map_groups
+    from ..stages.bucketed import bucketed_map_groups, size_routed_join
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()  # parquet metadata count — no pipeline execution
     pairs = _tf_pairs(ds).materialize()  # consumed by df partials + scoring
-    df_tab = _df_table(pairs).materialize()
 
-    # size-routed df attach: the df table is one SCALAR per token, so
-    # when the vocab fits the broadcast budget the score stage is a
-    # shuffle-free map lookup; the bucketed token join (which collocates
-    # a hot token's pair rows) is only the oversized-vocab fallback.
-    if df_tab.count() <= TFIDF_BROADCAST_VOCAB_MAX:
-        df_pd = df_tab.to_pandas()
-        df_ref = ray.put(pd.Series(df_pd["df"].values, index=df_pd["kw"].values))
+    # the df table is one SCALAR per token: under the broadcast cap the
+    # df attach is a shuffle-free map; only an oversized vocabulary pays
+    # the token co-partition (which collocates a hot token's pair rows)
+    def add_score(batch: pd.DataFrame) -> pd.DataFrame:
+        batch["tfidf"] = batch["tf"] * np.log(n_docs / batch["df"])
+        return batch
 
-        def score(batch: pd.DataFrame) -> pd.DataFrame:
-            lut = _broadcast_get(df_ref)
-            batch = batch.copy()
-            batch["df"] = batch["kw"].map(lut).astype("int64")
-            batch["tfidf"] = batch["tf"] * np.log(n_docs / batch["df"])
-            return batch
-
-        scored = pairs.map_batches(score, batch_format="pandas")
-    else:
-        scored = bucketed_equi_join(pairs, df_tab, on="kw", n_buckets=64)
-
-        def add_score(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["tfidf"] = batch["tf"] * np.log(n_docs / batch["df"])
-            return batch
-
-        scored = scored.map_batches(add_score, batch_format="pandas")
+    scored = size_routed_join(pairs, _df_table(pairs), "kw").map_batches(
+        add_score, batch_format="pandas"
+    )
 
     def topk(bucket: pd.DataFrame) -> pd.DataFrame:
         bucket = bucket.sort_values(
@@ -9982,6 +9833,14 @@ def _fi_pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.int64) << np.int64(32)) | b.astype(np.int64)
 
 
+def _sorted_member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Membership of each of ``keys`` in a sorted broadcast key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    idx = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[idx] == keys
+
+
 def q_frequent_itemsets(sf_dir: str):
     """Apriori frequent-itemset mining (Agrawal & Srikant, VLDB 1994)
     over the order baskets: all size-2 and size-3 itemsets with support
@@ -10042,15 +9901,6 @@ def q_frequent_itemsets(sf_dir: str):
     )
     fp_ref = ray.put(fp_keys)
 
-    def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(sorted_keys, keys)
-        idx = np.minimum(idx, max(len(sorted_keys) - 1, 0))
-        return (
-            sorted_keys[idx] == keys
-            if len(sorted_keys)
-            else np.zeros(len(keys), dtype=bool)
-        )
-
     _TRI_SCHEMA = pa.schema(
         [("i1", pa.int64()), ("i2", pa.int64()), ("i3", pa.int64())]
     )
@@ -10064,11 +9914,13 @@ def q_frequent_itemsets(sf_dir: str):
         )[["l_orderkey", "a", "b"]]
         # Apriori prune BEFORE the triple expansion
         bp = bp[
-            _member(_fi_pack_pairs(bp["a"].to_numpy(), bp["b"].to_numpy()), keys)
+            _sorted_member(
+                _fi_pack_pairs(bp["a"].to_numpy(), bp["b"].to_numpy()), keys
+            )
         ]
         t = bp.merge(bp, on=["l_orderkey", "a"])
         t = t[t["b_x"] < t["b_y"]]
-        ok = _member(
+        ok = _sorted_member(
             _fi_pack_pairs(t["b_x"].to_numpy(), t["b_y"].to_numpy()), keys
         )
         t = t[ok]
@@ -10636,19 +10488,32 @@ def q_ams_f2(sf_dir: str):
             out, columns=["lang", "r", "z"]
         ).astype({"r": "int64", "z": "int64"})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    z = parts.groupby(["lang", "r"], as_index=False)["z"].sum()
-    z["zz"] = z["z"] * z["z"]
-    est = (
-        z.groupby("lang", as_index=False)["zz"]
-        .median()
-        .rename(columns={"zz": "f2_est"})
-        .sort_values("lang")
-        .reset_index(drop=True)
+    return _ams_f2_reduce(
+        ds.map_batches(partial, batch_format="pandas").to_pandas()
     )
-    est["f2_est"] = est["f2_est"].astype("int64")
-    return est
 
+
+def _ams_f2_reduce(parts: pd.DataFrame) -> pd.DataFrame:
+    """(lang, r, z) partials -> one ``f2_est`` per lang: z summed per
+    estimator, then the middle of the sorted int64 z² values (``_AMS_R``
+    is odd) — exact where a float64 median of z² past 2^53 is not."""
+    z = parts.groupby(["lang", "r"], as_index=False)["z"].sum()
+    zz = (z["z"] * z["z"]).groupby(z["lang"])
+    est = zz.agg(lambda v: np.sort(v.to_numpy())[len(v) // 2])
+    return pd.DataFrame(
+        {"lang": est.index.to_numpy(), "f2_est": est.to_numpy().astype("int64")}
+    )
+
+
+# the SQL oracle's reduce over est(lang, r, z): quantile_disc is the
+# middle value for odd _AMS_R, and HUGEINT keeps z * z exact
+_SQL_AMS_F2_REDUCE = """
+SELECT lang,
+       CAST(quantile_disc(CAST(z AS HUGEINT) * CAST(z AS HUGEINT), 0.5) AS BIGINT)
+         AS f2_est
+FROM est GROUP BY lang
+ORDER BY lang
+"""
 
 SQL_AMS_F2 = f"""
 WITH toks AS (
@@ -10665,10 +10530,7 @@ WITH toks AS (
   FROM cnt CROSS JOIN (SELECT unnest(range({_AMS_R})) AS r) r
   GROUP BY 1, 2
 )
-SELECT lang, CAST(median(z * z) AS BIGINT) AS f2_est
-FROM est GROUP BY lang
-ORDER BY lang
-"""
+{_SQL_AMS_F2_REDUCE}"""
 
 
 # ---------------------------------------------------------------------------
@@ -10690,67 +10552,70 @@ def q_max_cover_select(sf_dir: str):
 
     Distributed shape (the greedy-selection loop family shared with
     ``kcenter_select``): documents tokenize ONCE into a materialized
-    (doc_id, token-list) dataset; each round is one map pass against
-    the BROADCAST covered-set emitting a single per-block best
-    candidate (one row per block to the driver), and the covered set
-    grows by one document's tokens — driver state is K candidates per
-    round plus the covered vocabulary, never the corpus.  Marginal
-    gains are integers, so the argmax and tie-break replay exactly in
-    the unrolled SQL rounds.
+    (doc_id, sorted bigram-hash list) dataset; each round is one map
+    pass against the BROADCAST covered set — a sorted uint64 array of
+    md5-64 ``_token_hash`` values, probed with ``searchsorted`` —
+    emitting a single per-block best candidate (one row per block to
+    the driver), and the covered set grows by one document's hashes —
+    driver state is K candidates per round plus 8 bytes per covered
+    bigram, never the corpus.  Two distinct bigrams share a hash with
+    probability ~n²/2^65, negligible at any vocabulary this op meets.
+    Marginal gains are integers, so the argmax and tie-break replay
+    exactly in the unrolled SQL rounds.
     """
+    from ..functions.fingerprint import _token_hash
+
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def tok(df: pd.DataFrame) -> pa.Table:
-        toks = []
+        hs = []
         for t in df["text"]:
             ws = _LOWER_TOKEN_RE.findall(t.lower())
-            toks.append(
-                sorted({f"{a} {b}" for a, b in zip(ws, ws[1:])})
+            hs.append(
+                np.unique(
+                    np.fromiter(
+                        (_token_hash(f"{a} {b}") for a, b in zip(ws, ws[1:])),
+                        dtype=np.uint64,
+                    )
+                )
             )
         return pa.table(
             {
                 "doc_id": pa.array(
                     df["doc_id"].to_numpy(), type=pa.int64()
                 ),
-                "toks": pa.array(toks, type=pa.list_(pa.string())),
+                "hs": pa.array(hs, type=pa.list_(pa.uint64())),
             }
         )
 
     tok_ds = docs.map_batches(tok, batch_format="pandas").materialize()
 
-    covered: frozenset = frozenset()
-    picked: list = []
+    covered = np.zeros(0, dtype=np.uint64)
     out = []
     for rnd in range(1, _MAXCOV_K + 1):
-        cov_ref = ray.put((covered, frozenset(picked)))
+        cov_ref = ray.put(covered)
 
         def best(batch: pa.Table) -> pa.Table:
-            # per-block best candidate; its NEW bigrams ride along (\x1f-
-            # joined) so the driver never rescans the corpus to grow the
-            # covered set
-            cov, skip = _broadcast_get(cov_ref)
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            best_g, best_id, best_new = 0, None, ""
-            for i, lst in enumerate(batch["toks"].to_pylist()):
-                d = int(ids[i])
-                if d in skip:
-                    continue
-                new = [t for t in lst if t not in cov]
-                g = len(new)
-                if g >= 1 and (
-                    g > best_g or (g == best_g and d < best_id)
-                ):
-                    best_g, best_id, best_new = g, d, "\x1f".join(new)
-            if best_id is None:
-                return pa.table(
-                    {"doc_id": pa.array([], type=pa.int64()),
-                     "g": pa.array([], type=pa.int64()),
-                     "new": pa.array([], type=pa.string())}
-                )
+            # per-block best candidate; its NEW bigram hashes ride along
+            # so the driver never rescans the corpus to grow the covered
+            # set.  A picked doc's bigrams are all covered, so its gain
+            # is 0 and it never wins again.
+            ids = batch["doc_id"].to_numpy()
+            flat = pc.list_flatten(batch["hs"]).to_numpy()
+            owner = pc.list_parent_indices(batch["hs"]).to_numpy()
+            new = ~_sorted_member(flat, _broadcast_get(cov_ref))
+            gain = np.bincount(owner[new], minlength=len(ids))
+            # the largest gain, ties to the smallest doc_id; no row
+            # unless that gain is >= 1
+            i = np.lexsort((ids, -gain))[:1]
+            i = i[gain[i] >= 1]
             return pa.table(
-                {"doc_id": pa.array([best_id], type=pa.int64()),
-                 "g": pa.array([best_g], type=pa.int64()),
-                 "new": pa.array([best_new], type=pa.string())}
+                {"doc_id": pa.array(ids[i], type=pa.int64()),
+                 "g": pa.array(gain[i], type=pa.int64()),
+                 "new": pa.array(
+                     [flat[new & (owner == j)] for j in i],
+                     type=pa.list_(pa.uint64()),
+                 )}
             )
 
         cand = tok_ds.map_batches(
@@ -10762,8 +10627,7 @@ def q_max_cover_select(sf_dir: str):
             ["g", "doc_id"], ascending=[False, True], kind="mergesort"
         )
         d, g = int(cand.iloc[0]["doc_id"]), int(cand.iloc[0]["g"])
-        picked.append(d)
-        covered = covered | frozenset(cand.iloc[0]["new"].split("\x1f"))
+        covered = np.union1d(covered, cand.iloc[0]["new"]).astype(np.uint64)
         out.append({"rk": rnd, "doc_id": d, "gain": g})
     res = pd.DataFrame(out, columns=["rk", "doc_id", "gain"])
     return res.astype({"rk": "int64", "doc_id": "int64", "gain": "int64"})

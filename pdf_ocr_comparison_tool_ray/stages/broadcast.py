@@ -1,34 +1,17 @@
-"""Broadcast (map-side) hash join — the small-side pattern as a public
-operator.
+"""Per-worker memo for broadcast state.
 
-Reference J7 (``project_detector.py:49-87`` keyword/folder maps held in
-memory) and every dim-table lookup in the queries (nation/region/
-supplier maps) share one topology: ``ray.put`` the small side ONCE, read
-it in each map task's ``__init__``, and join per batch with a vectorized
-``pandas.merge`` — zero shuffle, the large side streams.  This module is
-that pattern as a reusable stage; `bucketed_equi_join` is the
-co-partition alternative when neither side is small.
-
-Size guard: the small side must fit each worker's heap (it is
-materialized per actor).  ``BROADCAST_MAX_ROWS`` raises early instead of
-letting a million-row "small" side OOM the pool at deploy time.
+A map task that reads small shared state — reference J7's keyword and
+folder maps (``project_detector.py:49-87``), a dim table, an index, a
+centroid matrix — gets it through ``broadcast_get``: the driver
+``ray.put``s the state once, and each worker process fetches it once,
+however many batches it maps.  The broadcast join itself is the small-
+side route of ``stages/bucketed.py::size_routed_join``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
-
-import pandas as pd
-import pyarrow as pa
 import ray
-import ray.data
 
-BROADCAST_MAX_ROWS = 5_000_000
-
-# ---------------------------------------------------------------------------
-# per-worker-process memo for SMALL broadcast state (the canonical copy —
-# queries.py / stages re-export rather than reimplementing)
-# ---------------------------------------------------------------------------
 _BROADCAST_CACHE: dict = {}
 _BROADCAST_CACHE_MAX = 64
 
@@ -62,59 +45,3 @@ def broadcast_get(ref, build=None, key=None):
         st = build(val) if build is not None else val
         _BROADCAST_CACHE[k] = st
     return st
-
-
-def broadcast_hash_join(
-    large: ray.data.Dataset,
-    small: Union[pd.DataFrame, pa.Table],
-    on: Union[str, Sequence[str]],
-    how: str = "inner",
-    suffix: str = "_r",
-    concurrency=(1, 4),
-) -> ray.data.Dataset:
-    """Join a streaming Dataset against an in-memory small side.
-
-    ``how``: "inner" or "left" (right/full would need small-side match
-    bookkeeping across tasks — use ``bucketed_equi_join`` for those).
-    Small-side columns colliding with large-side names get ``suffix``.
-    """
-    if how not in ("inner", "left"):
-        raise ValueError(
-            f"how={how!r}: broadcast join supports inner/left; use "
-            "bucketed_equi_join for right/outer"
-        )
-    keys = [on] if isinstance(on, str) else list(on)
-    small_df = small.to_pandas() if isinstance(small, pa.Table) else small.copy()
-    if len(small_df) > BROADCAST_MAX_ROWS:
-        raise ValueError(
-            f"broadcast side has {len(small_df)} rows (> {BROADCAST_MAX_ROWS}); "
-            "use bucketed_equi_join (co-partition) instead"
-        )
-    rename = {
-        c: c + suffix
-        for c in small_df.columns
-        if c not in keys and c in set(large.schema().names)
-    }
-    small_df = small_df.rename(columns=rename)
-    small_ref = ray.put(small_df)
-    # left mode: promote small-side integer columns to float64 in EVERY
-    # batch — an all-matched batch would otherwise emit int64 blocks while
-    # a batch with unmatched keys emits float64 (NaN fill), diverging
-    # block dtypes across the Dataset (same hazard bucketed_equi_join's
-    # promote step fixes)
-    promote = (
-        [c for c in small_df.columns if c not in keys] if how == "left" else []
-    )
-
-    class Probe:
-        def __init__(self):
-            self.small = ray.get(small_ref)  # once per actor, not per batch
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            out = batch.merge(self.small, on=keys, how=how)
-            for c in promote:
-                if pd.api.types.is_integer_dtype(out[c]):
-                    out[c] = out[c].astype("float64")
-            return out
-
-    return large.map_batches(Probe, batch_format="pandas", concurrency=concurrency)

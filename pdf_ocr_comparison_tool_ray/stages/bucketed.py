@@ -10,13 +10,18 @@ identical because range partitioning never splits a bucket across
 blocks and a bucket contains every row of each key it holds (hash
 co-partition), so any per-key computation can run inside the block.
 
-Two plan shapes live here.  ``bucketed_map_groups`` co-partitions ONE
+Three plan shapes live here.  ``bucketed_map_groups`` co-partitions ONE
 Dataset (sessionization, medians, pair dedup, connected components).
 ``co_partition`` co-partitions TWO: both sides tag into one typed union,
 shuffle once, and split back per block for a ``kernel(l_df, r_df)`` —
 the single implementation under every large-large join
 (``bucketed_equi_join``'s merge and semi/anti kernels, the as-of and
-range joins, the dedup survive rules).
+range joins, the dedup survive rules).  ``size_routed_join`` picks by
+the right side's row count: at most ``BROADCAST_MAX_ROWS`` broadcasts
+it to a task map over the left, more co-partitions through
+``bucketed_equi_join`` — one merge kernel and one membership kernel
+serve both routes (dim-table lookups, exact-key index joins, anti-join
+dedup).
 """
 
 from __future__ import annotations
@@ -26,10 +31,15 @@ from typing import Callable, List, Sequence, Union
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 from pandas.util import hash_pandas_object
 
+from .broadcast import broadcast_get
+
 BUCKET_COL = "_bucket"
+# size_routed_join broadcasts a right side of at most this many rows
+BROADCAST_MAX_ROWS = 5_000_000
 
 
 def bucket_of(df: pd.DataFrame, keys: Sequence[str], n_buckets: int) -> pd.Series:
@@ -139,22 +149,19 @@ def _arrow_schema(schema) -> pa.Schema:
 SIDE_COL = "_side"  # co_partition's side tag: True on left rows
 
 
-def _side_schemas(left: ray.data.Dataset, right: ray.data.Dataset):
-    """Both sides' arrow schemas; a side whose Dataset has no schema (Ray
-    drops it with the last block) makes the joined columns
-    unconstructable — fail with the cause, not deep in a tag stage."""
-    schemas = []
-    for side, ds in (("left", left), ("right", right)):
-        schema = ds.schema()
-        if schema is None:
-            raise ValueError(
-                f"co_partition: the {side} side is an empty Dataset with "
-                f"no schema, so the joined columns cannot be constructed "
-                f"— materialize a schema-stable empty frame upstream or "
-                f"short-circuit the join"
-            )
-        schemas.append(_arrow_schema(schema))
-    return schemas
+def _schema_of(ds: ray.data.Dataset, side: str) -> pa.Schema:
+    """One side's arrow schema; a Dataset with no schema (Ray drops it
+    with the last block) makes the joined columns unconstructable — fail
+    with the cause, not deep in a tag stage."""
+    schema = ds.schema()
+    if schema is None:
+        raise ValueError(
+            f"co_partition: the {side} side is an empty Dataset with "
+            f"no schema, so the joined columns cannot be constructed "
+            f"— materialize a schema-stable empty frame upstream or "
+            f"short-circuit the join"
+        )
+    return _arrow_schema(schema)
 
 
 def co_partition(
@@ -186,8 +193,10 @@ def co_partition(
     Skew caveat: one KEY lands in one bucket — salt hot keys upstream
     (see stages/match_shuffle.py) when a key's rows exceed a worker.
     """
-    l_schema, r_schema = _side_schemas(left, right)
-    return _co_partition(left, l_schema, right, r_schema, keys, kernel, 64)
+    return _co_partition(
+        left, _schema_of(left, "left"), right, _schema_of(right, "right"),
+        keys, kernel, 64,
+    )
 
 
 def _co_partition(
@@ -250,32 +259,39 @@ def _co_partition(
     )
 
 
-def bucketed_equi_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: Union[str, Sequence[str]],
-    how: str = "inner",
-    n_buckets: int = 64,
+def _join_kernel(
+    l_schema: pa.Schema,
+    r_schema: pa.Schema | None,
+    keys: List[str],
+    how: str,
     suffix: str = "_r",
-) -> ray.data.Dataset:
-    """Large-large equi join: ``co_partition`` with a merge kernel.
+) -> Callable[[pd.DataFrame, pd.DataFrame], pa.Table]:
+    """The one kernel of both equi-join routes, ``kernel(l_df, r_df)``.
 
-    Neither side is broadcast, rows move exactly once, and each sorted
-    block runs one vectorized ``pandas.merge``.  Right-side non-key
-    columns that collide with left names get ``suffix``.  ``how``:
-    "inner", "left", "right" or "outer" (pandas merge semantics per
-    block; co-partition makes the per-block merge globally exact), or
-    "semi"/"anti" (left rows filtered by key existence in right).
+    semi/anti: left rows filtered by key membership in ``r_df`` (a frame
+    of right keys), left schema kept — duplicate right keys never
+    duplicate a left row.  Otherwise one vectorized ``pandas.merge``
+    into an explicit output schema: keys, left columns, right columns
+    (right names colliding with left ones get ``suffix``).
     """
-    if how not in ("inner", "left", "right", "outer", "semi", "anti"):
-        raise ValueError(
-            f"how={how!r}: inner/left/right/outer/semi/anti supported"
-        )
-    keys: List[str] = [on] if isinstance(on, str) else list(on)
     if how in ("semi", "anti"):
-        return _bucketed_semi_anti(left, right, keys, how, n_buckets)
+        keep_match = how == "semi"
 
-    l_schema, r_schema = _side_schemas(left, right)
+        def member(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
+            if len(keys) == 1:  # Series.isin: ~20x a one-level MultiIndex
+                hit = l[keys[0]].isin(r[keys[0]]).to_numpy()
+            else:
+                hit = pd.MultiIndex.from_frame(l[keys]).isin(
+                    pd.MultiIndex.from_frame(r[keys])
+                )
+            return pa.Table.from_pandas(
+                l[hit if keep_match else ~hit],
+                schema=l_schema,
+                preserve_index=False,
+            )
+
+        return member
+
     l_cols = [c for c in l_schema.names if c not in keys]
     rename_r = {
         c: c + suffix if c in l_cols else c
@@ -284,7 +300,7 @@ def bucketed_equi_join(
     }
 
     # outer modes null-fill the unmatched side; promote that side's integer
-    # columns to float64 in EVERY block, or a fully-matched block would
+    # columns to float64 in EVERY call, or a fully-matched call would
     # emit int64 while others emit float64 (block-dtype divergence)
     promote = []
     if how in ("left", "outer"):
@@ -304,7 +320,7 @@ def bucketed_equi_join(
     )
 
     def merge(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
-        # EXPLICIT output schema: an all-unmatched block otherwise emits
+        # EXPLICIT output schema: an all-unmatched call otherwise emits
         # empty object columns that infer null arrow types
         out = l.merge(r.rename(columns=rename_r), on=keys, how=how)
         for c in promote:  # astype, not arrow: arrow refuses ints > 2^53
@@ -314,57 +330,110 @@ def bucketed_equi_join(
             out[out_schema.names], schema=out_schema, preserve_index=False
         )
 
-    return _co_partition(left, l_schema, right, r_schema, keys, merge, n_buckets)
+    return merge
 
 
-def _bucketed_semi_anti(
+def bucketed_equi_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
-    keys: List[str],
-    how: str,
-    n_buckets: int,
+    on: Union[str, Sequence[str]],
+    how: str = "inner",
+    n_buckets: int = 64,
+    suffix: str = "_r",
 ) -> ray.data.Dataset:
-    """semi/anti equi join: a co-partition with a membership kernel.
+    """Large-large equi join: ``co_partition`` with ``_join_kernel``.
 
-    The right side ships ONLY its (deduplicated-per-batch) key columns —
-    the probe payload never moves — and the output keeps the left schema
-    untouched (the kernel gets null-free left columns).
+    Neither side is broadcast, rows move exactly once, and each sorted
+    block runs one vectorized ``pandas.merge``.  Right-side non-key
+    columns that collide with left names get ``suffix``.  ``how``:
+    "inner", "left", "right" or "outer" (pandas merge semantics per
+    block; co-partition makes the per-block merge globally exact), or
+    "semi"/"anti" (left rows filtered by key existence in right).
+    semi/anti ship ONLY the right side's (deduplicated-per-batch) key
+    columns — the probe payload never moves — and keep the left schema.
     """
-    if left.schema() is None:
-        # empty left (schema dropped with the last block): both forms
-        # return no rows regardless of the right side
-        return left
-    l_schema = _arrow_schema(left.schema())
-    key_schema = pa.schema([l_schema.field(k) for k in keys])
-
-    def right_keys(batch: pa.Table) -> pa.Table:
-        # combiner: one row per distinct key per batch crosses the shuffle
-        return batch.select(keys).cast(key_schema).group_by(keys).aggregate([])
-
-    keep_match = how == "semi"
-
-    def member(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
-        if len(keys) == 1:  # Series.isin: ~20x a one-level MultiIndex
-            hit = l[keys[0]].isin(r[keys[0]]).to_numpy()
-        else:
-            hit = pd.MultiIndex.from_frame(l[keys]).isin(
-                pd.MultiIndex.from_frame(r)
-            )
-        return pa.Table.from_pandas(
-            l[hit if keep_match else ~hit], schema=l_schema, preserve_index=False
+    if how not in ("inner", "left", "right", "outer", "semi", "anti"):
+        raise ValueError(
+            f"how={how!r}: inner/left/right/outer/semi/anti supported"
         )
+    keys: List[str] = [on] if isinstance(on, str) else list(on)
+    if how in ("semi", "anti"):
+        if left.schema() is None:
+            # empty left (schema dropped with the last block): both forms
+            # return no rows regardless of the right side
+            return left
+        l_schema = _arrow_schema(left.schema())
+        # the key projection's schema is known by construction, so the
+        # right side never executes for it, and an empty right needs no
+        # special case
+        r_schema = pa.schema([l_schema.field(k) for k in keys])
 
-    # the key projection's schema is known by construction, so the right
-    # side never executes for it, and an empty right needs no special case
-    return _co_partition(
-        left,
-        l_schema,
-        right.map_batches(right_keys, batch_format="pyarrow"),
-        key_schema,
-        keys,
-        member,
-        n_buckets,
-    )
+        def right_keys(batch: pa.Table) -> pa.Table:
+            # combiner: one row per distinct key per batch crosses the shuffle
+            return batch.select(keys).cast(r_schema).group_by(keys).aggregate([])
+
+        right = right.map_batches(right_keys, batch_format="pyarrow")
+    else:
+        l_schema = _schema_of(left, "left")
+        r_schema = _schema_of(right, "right")
+    kernel = _join_kernel(l_schema, r_schema, keys, how, suffix)
+    return _co_partition(left, l_schema, right, r_schema, keys, kernel, n_buckets)
+
+
+def size_routed_join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    on: Union[str, Sequence[str]],
+    how: str = "inner",
+) -> ray.data.Dataset:
+    """Equi join that broadcasts a small right side and co-partitions a
+    large one — the plan behind every dim-table and index lookup.
+
+    ``right`` materializes once.  At most ``BROADCAST_MAX_ROWS`` rows:
+    it is collected, ``ray.put`` once, and ``left`` streams through one
+    plain task map that reads it with ``broadcast_get`` (no shuffle, no
+    actor pool).  Above the cap: ``bucketed_equi_join``.  Both routes
+    run ``_join_kernel``, so they return equal rows and dtypes.  The
+    broadcast route builds the kernel from each left batch's own
+    schema: ``left.schema()`` would execute a lazy left side once more
+    just to learn it.
+
+    A right side with no schema keeps no left row under "semi" and
+    every one under "anti"; "inner"/"left" raise the co-partition
+    route's ``ValueError``.  "right"/"outer" need the unmatched right
+    rows tracked across tasks: use ``bucketed_equi_join``.
+    """
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(
+            f"how={how!r}: size_routed_join supports inner/left/semi/anti; "
+            "use bucketed_equi_join for right/outer"
+        )
+    keys: List[str] = [on] if isinstance(on, str) else list(on)
+    right = right.materialize()
+    n_right = right.count()
+    if n_right > BROADCAST_MAX_ROWS:
+        return bucketed_equi_join(left, right, keys, how)
+
+    # an empty Dataset collects to a frame without columns
+    if how in ("semi", "anti"):
+        r_schema = None
+        r_df = right.to_pandas()[keys].drop_duplicates() if n_right else (
+            pd.DataFrame(columns=keys)
+        )
+    else:
+        r_schema = _schema_of(right, "right")
+        r_df = right.to_pandas() if n_right else r_schema.empty_table().to_pandas()
+    r_ref = ray.put(r_df)
+
+    def probe(batch: pd.DataFrame):
+        if len(batch):
+            l_schema = pa.Schema.from_pandas(batch, preserve_index=False)
+            kernel = _join_kernel(l_schema, r_schema, keys, how)
+            yield kernel(batch, broadcast_get(r_ref))
+
+    # pandas batches: the kernel is pandas, and a pandas-block left side
+    # (most map outputs) then crosses no arrow round trip
+    return left.map_batches(probe, batch_format="pandas")
 
 
 def bucketed_topk(

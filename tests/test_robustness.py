@@ -436,36 +436,79 @@ def test_bucketed_map_groups_calls_once_per_sorted_block():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_broadcast_hash_join_matches_bucketed():
-    """The broadcast map-side join and the co-partition join must agree
-    on inner and left semantics (they are the two physical plans for the
-    same logical join)."""
-    from pdf_ocr_comparison_tool_ray.stages.broadcast import broadcast_hash_join
-    from pdf_ocr_comparison_tool_ray.stages.bucketed import bucketed_equi_join
+def test_size_routed_join_routes_agree(monkeypatch):
+    """size_routed_join's broadcast and co-partition routes run one
+    kernel, so every join form returns equal rows and dtypes on both:
+    int64 payloads past 2^53, a two-column key, duplicate right keys
+    (never duplicating a left row under semi), and a right side
+    filtered to no rows."""
+    from pdf_ocr_comparison_tool_ray.stages import bucketed as B
 
-    large = ray.data.from_pandas(
-        pd.DataFrame({"k": [1, 2, 2, 3, 9], "v": [10, 20, 21, 30, 90]})
-    ).repartition(3)
-    small = pd.DataFrame({"k": [1, 2, 4], "name": ["a", "b", "d"], "v": [7, 8, 9]})
+    big = 1 << 60
+    ldf = pd.DataFrame(
+        {
+            "a": [1, 1, 2, 2, 3, 9],
+            "b": ["x", "y", "x", "x", "y", "x"],
+            "v": big + np.arange(6, dtype=np.int64),
+        }
+    )
+    rdf = pd.DataFrame(
+        {
+            "a": [1, 1, 2, 4],
+            "b": ["x", "x", "x", "x"],
+            "w": big + np.arange(4, dtype=np.int64),
+            "v": [7, 8, 9, 10],
+        }
+    )
+    left = ray.data.from_pandas(ldf).repartition(3)
+    right = ray.data.from_pandas(rdf).repartition(2)
+    empty = right.filter(lambda r: False).materialize()
+    keys = ["a", "b"]
 
-    def norm(ds):
-        df = ds.to_pandas()
+    def both_routes(r, how):
+        out = []
+        for cap in (len(rdf), -1):  # broadcast, then co-partition
+            monkeypatch.setattr(B, "BROADCAST_MAX_ROWS", cap)
+            df = B.size_routed_join(left, r, keys, how).to_pandas()
+            out.append(df.sort_values(list(df.columns)).reset_index(drop=True))
+        if len(out[0]) or len(out[1]):
+            pd.testing.assert_frame_equal(out[0], out[1])
+        return out[0]
+
+    def norm(df):
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
     for how in ("inner", "left"):
-        b = norm(broadcast_hash_join(large, small, on="k", how=how))
-        c = norm(
-            bucketed_equi_join(
-                large, ray.data.from_pandas(small), on="k", how=how, n_buckets=4
-            )
+        want = norm(
+            ldf.merge(rdf.rename(columns={"v": "v_r"}), on=keys, how=how)
         )
-        assert set(b.columns) == set(c.columns) == {"k", "v", "name", "v_r"}
-        assert len(b) == len(c)
-        pd.testing.assert_frame_equal(b[sorted(b.columns)], c[sorted(c.columns)],
-                                      check_dtype=False)
+        got = both_routes(right, how)
+        assert len(got) == {"inner": 4, "left": 7}[how]
+        assert got["v"].dtype == np.int64 and got["v"].tolist() == want["v"].tolist()
+        if how == "inner":  # exact past 2^53: no float round-trip
+            pd.testing.assert_frame_equal(got[want.columns], want)
+        else:  # null-filled right columns promote to float64 in every block
+            assert got["w"].dtype == got["v_r"].dtype == np.float64
 
-    with pytest.raises(ValueError, match="inner/left"):
-        broadcast_hash_join(large, small, on="k", how="outer")
+    member = pd.MultiIndex.from_frame(ldf[keys]).isin(
+        pd.MultiIndex.from_frame(rdf[keys])
+    )
+    for how, rows in (("semi", member), ("anti", ~member)):
+        got = both_routes(right, how)
+        pd.testing.assert_frame_equal(got, norm(ldf[rows]))
+
+    assert len(both_routes(empty, "semi")) == 0
+    pd.testing.assert_frame_equal(both_routes(empty, "anti"), norm(ldf))
+    if empty.schema() is None:
+        for cap in (len(rdf), -1):
+            monkeypatch.setattr(B, "BROADCAST_MAX_ROWS", cap)
+            for how in ("inner", "left"):
+                with pytest.raises(ValueError, match="empty Dataset"):
+                    B.size_routed_join(left, empty, keys, how)
+
+    for how in ("right", "outer"):
+        with pytest.raises(ValueError, match="inner/left/semi/anti"):
+            B.size_routed_join(left, right, keys, how)
 
 
 @pytest.mark.usefixtures("ray_session")

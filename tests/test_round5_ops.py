@@ -817,6 +817,7 @@ def test_ingest_dedup_planted_and_route_equivalence(tmp_path, monkeypatch):
     from the even (standing) half; the broadcast and bucketed anti-join
     routes pick identical survivors."""
     from pdf_ocr_comparison_tool_ray.pipelines import queries as Q
+    from pdf_ocr_comparison_tool_ray.stages import bucketed
 
     rows = [
         # standing half (even ids)
@@ -831,7 +832,8 @@ def test_ingest_dedup_planted_and_route_equivalence(tmp_path, monkeypatch):
     sf = _write_docs(tmp_path, rows)
     broadcast = Q.q_ingest_dedup(sf).to_pandas()
     assert sorted(broadcast["doc_id"]) == [3, 7]
-    monkeypatch.setattr(Q, "_INGEST_KEY_CAP", -1)  # force the anti-join route
+    # force the co-partition route
+    monkeypatch.setattr(bucketed, "BROADCAST_MAX_ROWS", -1)
     copart = Q.q_ingest_dedup(sf).to_pandas()
     pd.testing.assert_frame_equal(
         broadcast.sort_values("doc_id").reset_index(drop=True),

@@ -364,6 +364,34 @@ def test_ams_f2_matches_brute_sketch_and_bounds_error(ray_session, tmp_path):
         assert true_f2 / 3 <= out[lang] <= true_f2 * 3
 
 
+def test_ams_f2_reduce_exact_past_2_53():
+    # z = 2^27 + 1 makes z² = 2^54 + 2^28 + 1: odd and above 2^54, so a
+    # float64 median of z² lands on an even neighbour; both engines'
+    # reduces over the same (lang, r, z) partials must return it exactly
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import (
+        _AMS_R,
+        _SQL_AMS_F2_REDUCE,
+        _ams_f2_reduce,
+    )
+
+    z0 = 2**27 + 1
+    rows = [("en", r, z) for r, z in enumerate([1, -2, 3, 4, -z0])]
+    rows += [("en", r, z0 + r) for r in range(5, _AMS_R)]
+    rows += [("en", 4, -5), ("en", 4, 5)]  # one estimator over two batches
+    rows += [("de", r, -(z0 + 2)) for r in range(_AMS_R)]
+    parts = pd.DataFrame(rows, columns=["lang", "r", "z"])
+
+    got = _ams_f2_reduce(parts).set_index("lang")["f2_est"].to_dict()
+    con = duckdb.connect()
+    con.register("parts", parts)
+    sql = con.sql(
+        "WITH est AS (SELECT lang, r, CAST(sum(z) AS BIGINT) AS z "
+        "FROM parts GROUP BY lang, r)" + _SQL_AMS_F2_REDUCE
+    ).df()
+    want = {"en": z0 * z0, "de": (z0 + 2) ** 2}
+    assert got == want == dict(zip(sql["lang"], sql["f2_est"]))
+
+
 def test_max_cover_ties_and_early_stop_match_sql(ray_session, tmp_path):
     # docs 7 and 4 tie on round-1 gain (3 new bigrams each): the smaller
     # doc_id wins; doc 9's bigrams are a subset of doc 7's and doc 2 has
