@@ -10,7 +10,7 @@ explode -> hybrid-routing extract -> ordered reassembly, shuffle-free
 doc-local fast path) over
 $GRAFT_SF_DIR documents, replicated GRAFT_BENCH_REPLICATION times
 (deterministic doc_id suffixes) so the corpus is large enough to
-saturate the actor pool.
+saturate every CPU.
 
 --scaling: N->4N efficiency via CO-SCHEDULED fresh-process legs — a
 6-cpu and a 24-cpu session run simultaneously on disjoint core
@@ -85,35 +85,15 @@ def run_headline() -> dict:
     flat = _replicated_flat(SF_DIR, REPLICATION)
     n_docs = flat.count()
 
-    # default pool: reserve 2 cores for read/shuffle tasks.  The scaling
-    # legs set GRAFT_BENCH_POOL_FRACTION so BOTH legs run the same pool
-    # FRACTION: the 2-core reserve is a fixed per-CLUSTER cost, so under
-    # reserve-2 an 8-cpu leg pools 75% of its cores vs 94% at 32 and the
-    # A/B measures the reserve policy, not the engine's scaling
-    # (structural ratio (30/32)/(6/8) = 1.25 — measured as spuriously
-    # super-linear efficiency before this knob existed).
-    frac = os.environ.get("GRAFT_BENCH_POOL_FRACTION")
-    if frac:
-        pool = max(2, round(NUM_CPUS * float(frac)))
-    else:
-        pool = max(2, NUM_CPUS - 2)
-
     # untimed pilot on a small slice: pays the one-time worker imports +
-    # first pool spin-up so the timed runs measure steady-state (matters
+    # first worker spin-up so the timed runs measure steady-state (matters
     # most for the scaling legs, which time a SINGLE run per subprocess)
-    run_extraction(
-        interleave(flat.limit(2000)),
-        ocr_concurrency=pool,
-        batch_size=None,
-    ).count()
+    run_extraction(interleave(flat.limit(2000)), batch_size=None).count()
 
     def one_run():
         t0 = time.perf_counter()
         out = run_extraction(
             interleave(flat),
-            # fixed-size pool: an autoscaling (1,N) pool ramps up too slowly
-            # to saturate a short run; at 100 TB either works, per node
-            ocr_concurrency=pool,
             batch_size=None,  # batch == block; read blocks set parallelism
         )
         n_spans = out.count()
@@ -296,14 +276,9 @@ def _scaling_legs(lo: int, hi: int, replication: str) -> dict:
     construction; measured cycle efficiencies agree within ~2% while
     absolute walls swing 15%+ between cycles.
 
-    Both legs run the same actor-pool FRACTION (5/6 of cores): the
-    default reserve-2 pool is a fixed per-CLUSTER cost, so reserve-2 in
-    both legs pools 75% of an 8-cpu leg vs 94% of a 32-cpu leg and the
-    ratio measures the reserve policy, not the engine (structural
-    (30/32)/(6/8) = 1.25x, observed as spuriously super-linear
-    efficiency).  An idle-box lo/hi reference pair with the production
-    reserve-2 pools rides along, plus core-speed probes quantifying the
-    idle-vs-busy turbo differential the co-scheduling removes."""
+    An idle-box lo/hi reference pair rides along, plus core-speed probes
+    quantifying the idle-vs-busy turbo differential the co-scheduling
+    removes."""
 
     me = os.path.abspath(__file__)
     cwd = os.path.dirname(me)
@@ -369,8 +344,8 @@ def _scaling_legs(lo: int, hi: int, replication: str) -> dict:
             "contiguous ranges (sibling groups don't tile the legs)",
         )
 
-    def env_for(ncpu: int, rep: int, frac: str | None) -> dict:
-        env = dict(
+    def env_for(ncpu: int, rep: int) -> dict:
+        return dict(
             os.environ,
             RAY_GRAFT_CPUS=str(ncpu),
             GRAFT_BENCH_ONLY="extract",
@@ -380,16 +355,13 @@ def _scaling_legs(lo: int, hi: int, replication: str) -> dict:
             GRAFT_BENCH_REPLICATION=str(rep),
             RAY_GRAFT_OBJECT_STORE_BYTES=str(12 * 1024**3),
         )
-        if frac:
-            env["GRAFT_BENCH_POOL_FRACTION"] = frac
-        return env
 
     def parse(out: str) -> dict:
         return json.loads(out.strip().splitlines()[-1])
 
     def run_idle(ncpu: int, rep: int) -> dict:
         r = subprocess.run(
-            [sys.executable, me], env=env_for(ncpu, rep, None),
+            [sys.executable, me], env=env_for(ncpu, rep),
             capture_output=True, text=True, cwd=cwd,
         )
         if r.returncode != 0:
@@ -413,7 +385,6 @@ def _scaling_legs(lo: int, hi: int, replication: str) -> dict:
     hi_ids, lo_ids, part_mode = leg_partitions(co_hi, co_lo)
     hi_cores = ",".join(str(c) for c in hi_ids)
     lo_cores = ",".join(str(c) for c in lo_ids)
-    frac = "0.8333334"  # 5/6 in both legs
 
     n_cycles = max(1, int(os.environ.get("GRAFT_SCALING_CYCLES", "3")))
     probe0 = _core_speed(co_hi + co_lo)
@@ -429,7 +400,7 @@ def _scaling_legs(lo: int, hi: int, replication: str) -> dict:
         ef = tempfile.TemporaryFile(mode="w+", encoding="utf-8")
         proc = subprocess.Popen(
             ["taskset", "-c", cores, sys.executable, me],
-            env=env_for(ncpu, rep, frac), stdout=subprocess.PIPE,
+            env=env_for(ncpu, rep), stdout=subprocess.PIPE,
             stderr=ef, text=True, cwd=cwd,
         )
         return proc, ef
@@ -471,8 +442,8 @@ def _scaling_legs(lo: int, hi: int, replication: str) -> dict:
             }
         )
     probe1 = _core_speed(co_hi + co_lo)
-    # idle-box reference pair (production reserve-2 pools, sequential,
-    # otherwise-idle box) — quantifies the turbo differential
+    # idle-box reference pair (sequential, otherwise-idle box) —
+    # quantifies the turbo differential
     probe_idle0 = _core_speed(idle_lo)
     r_idle_lo = run_idle(idle_lo, base_rep)
     probe_idle1 = _core_speed(idle_lo)
@@ -488,8 +459,8 @@ def _scaling_legs(lo: int, hi: int, replication: str) -> dict:
         "cpus_hi": co_hi,
         "mode": (
             f"co-scheduled disjoint-core legs (lo on cpus {lo_cores}, hi on "
-            f"{hi_cores}, {part_mode}, simultaneous, equal per-core work, "
-            f"pool fraction 5/6 in both) — drift-immune by construction; "
+            f"{hi_cores}, {part_mode}, simultaneous, equal per-core work) "
+            f"— drift-immune by construction; "
             f"idle-box reference pair alongside"
         ),
         "sec_lo": c["lo"]["value"],
@@ -586,7 +557,7 @@ def skew() -> None:
     """Media-heavy skew A/B: same corpus (a few documents with ~10^4x the
     median span count), extraction WITHOUT vs WITH the post-explode
     repartition.  Without it the giant documents' blocks serialize on one
-    task each; the repartition spreads their spans across the pool (the
+    task each; the repartition spreads their spans across the CPUs (the
     reassembly then must take the groupby(doc_id) shuffle path)."""
     import ray
 
@@ -628,7 +599,6 @@ def skew() -> None:
         t0 = time.perf_counter()
         out = run_extraction(
             interleave(flat),
-            ocr_concurrency=max(2, NUM_CPUS - 2),
             batch_size=None if num_output_blocks is None else 512,
             num_output_blocks=num_output_blocks,
         )
@@ -637,9 +607,7 @@ def skew() -> None:
 
     def run_aware():
         t0 = time.perf_counter()
-        out = run_extraction_skew_aware(
-            interleave(flat), ocr_concurrency=max(2, NUM_CPUS - 2)
-        )
+        out = run_extraction_skew_aware(interleave(flat))
         n = out.count()
         return round(time.perf_counter() - t0, 3), n
 
@@ -691,7 +659,7 @@ def _core_speed(n_workers: int) -> float:
 def scaling() -> None:
     """Standalone N->4N scaling record — same interleaved-pairs harness
     the driver-mode bench embeds (``_scaling_legs``), larger corpus so
-    fixed costs (driver planning, pool spin-up, the single read task)
+    fixed costs (driver planning, worker spin-up, the single read task)
     amortize — the regime that actually represents the 100 TB target
     (raw efficiency: 0.68 @ rep 64, 0.71 @ 128, 0.89 @ 256)."""
     block = _scaling_legs(

@@ -6,7 +6,7 @@ Submit to a fixed-size Ray cluster:
         python jobs/compare_job.py \
         --probe /data/probe.parquet --reference /data/ref.parquet \
         --output /data/compare [--report-dir /data/compare/report] \
-        [--broadcast-max-rows 500000] [--ocr-concurrency 0]
+        [--broadcast-max-rows 500000]
 
 Both inputs are flat documents tables; each side runs the flagship
 extraction + enrichment, the match join routes broadcast-vs-shuffle by
@@ -43,8 +43,6 @@ def main() -> int:
     ap.add_argument("--broadcast-max-rows", type=int, default=None,
                     help="build-side row cap for the broadcast join route")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--ocr-concurrency", type=int, default=0,
-                    help="extractor actor pool size; 0 = auto")
     args = ap.parse_args()
 
     import ray
@@ -71,7 +69,6 @@ def main() -> int:
     )
 
     tune_context()
-    oc = args.ocr_concurrency or None
 
     def rename_spans(out):
         # match stages key on `offset` (the reassembled seq IS the order);
@@ -96,10 +93,7 @@ def main() -> int:
         if not docs_path:
             raise SystemExit("need --probe/--reference or --*-spans for each side")
         return rename_spans(
-            run_extraction(
-                interleave(read_flat_documents(docs_path), seed=args.seed),
-                ocr_concurrency=oc,
-            )
+            run_extraction(interleave(read_flat_documents(docs_path), seed=args.seed))
         )
 
     t0 = time.perf_counter()

@@ -5,7 +5,7 @@ Submit to a fixed-size Ray cluster:
     ray job submit --working-dir . -- \
         python jobs/extract_job.py \
         --input /data/documents.parquet --output /data/extracted \
-        --partitions 4096 [--seed 42] [--ocr-concurrency 0]
+        --partitions 4096 [--seed 42]
 
 The job is checkpoint-resumable: re-submitting after a failure skips
 partitions whose manifest entry matches the input fingerprint
@@ -34,8 +34,6 @@ def main() -> int:
     ap.add_argument("--partitions", type=int, default=64,
                     help="output partitions (the resume unit); ~4-16x cluster cores")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--ocr-concurrency", type=int, default=0,
-                    help="extractor actor pool size; 0 = auto (CPUs-2)")
     args = ap.parse_args()
 
     import ray
@@ -54,7 +52,6 @@ def main() -> int:
     )
 
     tune_context()
-    oc = args.ocr_concurrency or None
     fp = input_fingerprint(args.input)
     already = completed_partitions(args.output, fp)
 
@@ -64,7 +61,6 @@ def main() -> int:
         args.output,
         num_partitions=args.partitions,
         seed=args.seed,
-        ocr_concurrency=oc,
     )
     wall = time.perf_counter() - t0
     print(

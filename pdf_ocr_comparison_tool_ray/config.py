@@ -88,8 +88,7 @@ EXTRACTION = {
 # are per-stage, per-actor knobs, not global state).
 STAGE = {
     "batch_size": 1024,          # rows per batch for text stages
-    "ocr_batch_size": 256,       # scan spans per OCR-actor batch
-    "ocr_concurrency": 4,        # OCR actor pool size
+    "ocr_batch_size": 256,       # scan spans per OCR batch
 }
 
 # Language-ID stopword sets (tiny, deterministic; heuristic n-gram/stopword
@@ -107,9 +106,8 @@ LANG_STOPWORDS = {
 # presets from a detected GPU tier (model_optimizer.py:80-95 classify by
 # VRAM >=16/>=10/>=6 GB -> HIGH/MEDIUM/LOW/CPU; :101-157 tier presets for
 # dpi/batch_size/fp16).  The cluster analog tiers on per-WORKER resources
-# and emits the Ray-stage knobs: extractor batch size, actor-pool size,
-# per-actor CPU share, and the raster-dpi / fp16 pass-through a real OCR
-# engine would consume.
+# and emits the Ray-stage knobs: extractor batch size, read parallelism,
+# and the raster-dpi / fp16 pass-through a real OCR engine would consume.
 # ---------------------------------------------------------------------------
 RESOURCE_TIERS = {
     # min_mem_gb_per_cpu -> stage preset (ordered strongest first)
@@ -133,9 +131,7 @@ def auto_stage_config(num_cpus: int | None = None, mem_gb: float | None = None) 
 
     Detection reads ``ray.cluster_resources()`` when available (the
     torch.cuda.get_device_properties analog); explicit args override for
-    tests/offline planning.  The pool reserves CPUs-2 at most so the
-    read/shuffle stages are never starved, mirroring extract_spans'
-    autoscaling cap.
+    tests/offline planning.
     """
     if num_cpus is None or mem_gb is None:
         try:
@@ -151,8 +147,6 @@ def auto_stage_config(num_cpus: int | None = None, mem_gb: float | None = None) 
     return {
         "tier": tier,
         "ocr_batch_size": preset["ocr_batch_size"],
-        "ocr_concurrency": max(2, num_cpus - 2),
-        "num_cpus_per_actor": 1,
         "dpi": preset["dpi"],
         "use_fp16": preset["use_fp16"],
         "read_blocks": num_cpus * 4,  # wave-aligned (BASELINE.md measurement)

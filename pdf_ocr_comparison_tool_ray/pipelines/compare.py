@@ -6,8 +6,9 @@ merge -> report.  Ray-Data-native topology: two Datasets; the build
 (reference) side is enriched, collected into a compact ``PageIndex`` and
 broadcast once via ``ray.put`` (the two-phase barrier becomes a
 materialized small side, not an execution-order assumption); the probe
-(voucher) side streams through a ``PageMatcher`` actor pool, then the
-``groupby(source_doc_id)`` ordered run-merge.
+(voucher) side streams through a plain task map (``match_batch_ref``;
+a ``PageMatcher`` actor pool only on request), then the per-source-doc
+ordered run-merge.
 
 Scale note: this topology assumes the build side fits in one object
 (the reference's in-memory index assumption).  When the build side is
@@ -23,50 +24,15 @@ from typing import Optional
 import ray
 import ray.data
 
-from ..config import MATCHING, auto_stage_config
-from ..stages.enrich import FeatureEnricher
+from ..config import MATCHING
+from ..stages.enrich import enrich_batch
 from ..stages.match import PageIndex, PageMatcher, merge_match_group
 
 
-def _pool_concurrency() -> tuple:
-    """Actor-pool bounds sized from the cluster, like the extraction
-    stage (config.auto_stage_config) — a hard-coded (1, 4) cap starved
-    the similarity-scoring stage on a 32-CPU node (round-3 verdict)."""
-    return (1, auto_stage_config()["ocr_concurrency"])
-
-
-# Default-config enricher, one per worker PROCESS (Ray reuses worker
-# processes across tasks, so the compiled regex/classifier state is
-# built once per worker without paying actor-pool spin-up — the
-# default-vocabulary enrich is the hot path in every compare query).
-_DEFAULT_ENRICHER: FeatureEnricher | None = None
-
-
-def _enrich_default_batch(batch):
-    global _DEFAULT_ENRICHER
-    if _DEFAULT_ENRICHER is None:
-        _DEFAULT_ENRICHER = FeatureEnricher()
-    return _DEFAULT_ENRICHER(batch)
-
-
-def enrich_spans(extracted: ray.data.Dataset, doc_types: dict | None = None,
-                 batch_size: int = 1024) -> ray.data.Dataset:
-    """Attach feature columns to extracted span rows.
-
-    Default vocabulary -> stateless task form (per-process cached
-    enricher, no actor pool to warm); custom ``doc_types`` -> actor
-    pool carrying the custom classifier."""
-    if doc_types is None:
-        return extracted.map_batches(
-            _enrich_default_batch, batch_format="pyarrow", batch_size=batch_size
-        )
-    return extracted.map_batches(
-        FeatureEnricher,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=_pool_concurrency(),
-        fn_constructor_kwargs={"doc_types": doc_types},
-    )
+def enrich_spans(extracted: ray.data.Dataset, batch_size: int = 1024) -> ray.data.Dataset:
+    """Attach feature columns to extracted span rows (a plain task map;
+    the enricher is built once per worker process)."""
+    return extracted.map_batches(enrich_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
 def build_index(reference_enriched: ray.data.Dataset) -> PageIndex:

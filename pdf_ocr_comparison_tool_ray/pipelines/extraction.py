@@ -3,13 +3,17 @@
     read (parquet/lance) -> derive/validate interleaved spans
       -> explode (zero-copy Arrow)
       -> [optional repartition to defuse media-heavy skew]
-      -> SpanExtractor actor pool (hybrid routing)
+      -> extract_batch task map (hybrid routing)
       -> groupby(doc_id) ordered reassembly shuffle
       -> Dataset of OUTPUT_SCHEMA rows (stream to write_parquet or iterate)
 
 Mirrors the reference lifecycle ``run_ocr.py:115-308`` (rasterize ->
 OCR -> features -> per-file collection) with the driver-side per-page
 loops replaced by Dataset stages; the driver holds no per-page state.
+Every stage is a plain task map (no actor pool), so derive, explode,
+extract and the doc-local reassembly fuse into one task operator and no
+stage holds a CPU the read task needs; per-process extractor state is
+cached in ``stages/extract.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import ray.data
 from ..config import STAGE
 from ..sources.interleave import derive_documents_batch
 from ..stages.explode import explode_spans
-from ..stages.extract import SpanExtractor
+from ..stages.extract import extract_batch
 from ..stages.reassemble import reassemble_batch_local
 
 
@@ -111,7 +115,6 @@ def read_interleaved(path: str) -> ray.data.Dataset:
 def extract_spans(
     docs: ray.data.Dataset,
     *,
-    ocr_concurrency: Optional[int] = None,
     batch_size="auto",
     num_output_blocks: Optional[int] = None,
     agreement_threshold: Optional[float] = None,
@@ -120,9 +123,10 @@ def extract_spans(
     """Interleaved documents -> extracted (unordered) span rows.
 
     ``preprocess=True`` runs the M2/M3 image chain (grayscale -> denoise
-    -> contrast -> deskew, warmed per actor) on each scan span's page
-    image ahead of recognition — the reference's off-by-default
-    ``ocr_engine.py:75-115`` preprocessing (``config.yaml:131-134``).
+    -> contrast -> deskew, warmed once per worker process) on each scan
+    span's page image ahead of recognition — the reference's
+    off-by-default ``ocr_engine.py:75-115`` preprocessing
+    (``config.yaml:131-134``).
 
     ``agreement_threshold`` overrides the native-vs-OCR route choice for
     pdf spans (None -> config default).  A value > 1 forces the OCR
@@ -135,23 +139,14 @@ def extract_spans(
         # spread media-heavy documents' spans across tasks (skew defusal);
         # plain repartition splits blocks without a full shuffle
         spans = spans.repartition(num_output_blocks)
-    if ocr_concurrency is None:
-        # autoscaling pool capped below the CPU count so the pool never
-        # starves the read / shuffle stages (see ray_guide: a pool that
-        # reserves every CPU serializes the pipeline)
-        import ray
-
-        total_cpus = int(ray.cluster_resources().get("CPU", 4))
-        ocr_concurrency = (1, max(1, min(STAGE["ocr_concurrency"], total_cpus - 1)))
     # batch_size semantics: "auto" -> STAGE default (fixed batches, what a
     # GPU OCR engine wants); None -> batch == block, so task granularity is
     # the block count chosen at the read and bundling never caps parallelism.
     return spans.map_batches(
-        SpanExtractor,
+        extract_batch,
         batch_format="pyarrow",
         batch_size=STAGE["ocr_batch_size"] if batch_size == "auto" else batch_size,
-        concurrency=ocr_concurrency,
-        fn_constructor_kwargs={
+        fn_kwargs={
             "agreement_threshold": agreement_threshold,
             "preprocess": preprocess,
         },
@@ -161,17 +156,16 @@ def extract_spans(
 def extract_spans_split(
     docs: ray.data.Dataset,
     *,
-    ocr_concurrency: Optional[int] = None,
     heavy_batch_size="auto",
 ) -> ray.data.Dataset:
     """Filter-split hybrid routing — the idiomatic Ray Data form of the
     reference's ``HybridOCREngine`` (SURVEY ST3): light spans (text/html)
-    run as stateless tasks, heavy spans (scan/pdf) through the
-    model-holding actor pool, outputs unioned.
+    run through the stateless light kernel, heavy spans (scan/pdf)
+    through the model-holding ``extract_batch``, outputs unioned.
 
     Use this over the fused ``extract_spans`` when the heavy route is
-    expensive (real OCR models): light spans then never queue behind, or
-    reserve, OCR actors.  The union scatters a document's spans across
+    expensive (real OCR models): light spans then never share a batch
+    with OCR work.  The union scatters a document's spans across
     light/heavy blocks, so downstream reassembly MUST take the
     groupby(doc_id) shuffle path (``run_extraction_split`` does).
     """
@@ -189,16 +183,10 @@ def extract_spans_split(
     heavy = spans.map_batches(keep(["scan", "pdf"]), batch_format="pyarrow")
 
     light_out = light.map_batches(extract_light_batch, batch_format="pyarrow")
-    if ocr_concurrency is None:
-        import ray
-
-        total_cpus = int(ray.cluster_resources().get("CPU", 4))
-        ocr_concurrency = (1, max(1, min(STAGE["ocr_concurrency"], total_cpus - 1)))
     heavy_out = heavy.map_batches(
-        SpanExtractor,
+        extract_batch,
         batch_format="pyarrow",
         batch_size=STAGE["ocr_batch_size"] if heavy_batch_size == "auto" else heavy_batch_size,
-        concurrency=ocr_concurrency,
     )
     return light_out.union(heavy_out)
 
@@ -206,14 +194,11 @@ def extract_spans_split(
 def run_extraction_split(
     docs: ray.data.Dataset,
     *,
-    ocr_concurrency: Optional[int] = None,
     heavy_batch_size="auto",
 ) -> ray.data.Dataset:
     """Split-routing pipeline; output identical to ``run_extraction``."""
     tune_context()
-    extracted = extract_spans_split(
-        docs, ocr_concurrency=ocr_concurrency, heavy_batch_size=heavy_batch_size
-    )
+    extracted = extract_spans_split(docs, heavy_batch_size=heavy_batch_size)
     return reassemble(extracted)
 
 
@@ -221,10 +206,6 @@ def run_extraction_hybrid_rerun(
     docs: ray.data.Dataset,
     *,
     rerun_threshold: float = 0.93,
-    ocr_concurrency: Optional[int] = None,
-    rerun_concurrency=(2, 8),  # autoscale: fixed pools cap the rerun
-    # fraction at volume (see the round-5 pool-sizing probes in NOTES);
-    # a real deployment sizes max to the second engine's GPU count
     agreement_threshold: Optional[float] = None,
 ) -> ray.data.Dataset:
     """Smart-mode extraction: first-pass engine for everything, then scan
@@ -233,7 +214,7 @@ def run_extraction_hybrid_rerun(
 
     Mirrors ``hybrid_ocr_engine.py:152-182`` (Paddle first, avg page
     confidence < 0.85 -> DeepSeek rerun) as a filter-split: confident
-    spans never touch the second pool.  The mock first engine's
+    spans never touch the second engine.  The mock first engine's
     confidences live in [0.90, 0.998], so the demo threshold defaults
     inside that range; a real deployment sets the reference's 0.85.
 
@@ -242,15 +223,14 @@ def run_extraction_hybrid_rerun(
     """
     import pyarrow.compute as pc
 
-    from ..stages.extract import SecondPassExtractor
+    from ..stages.extract import rerun_batch
 
     tune_context()
     # the first-pass output feeds two branches; materialize at the fan-out
-    # so the extractor pool doesn't re-execute per branch (NOTES gotcha —
-    # at 100 TB this boundary is a checkpointed table instead)
+    # so extraction doesn't re-execute per branch (NOTES gotcha — at
+    # 100 TB this boundary is a checkpointed table instead)
     extracted = extract_spans(
         docs,
-        ocr_concurrency=ocr_concurrency,
         batch_size=None,
         agreement_threshold=agreement_threshold,
     ).materialize()
@@ -266,11 +246,7 @@ def run_extraction_hybrid_rerun(
     doubtful = extracted.map_batches(
         lambda t: t.filter(is_doubtful(t)), batch_format="pyarrow"
     )
-    rerun = doubtful.map_batches(
-        SecondPassExtractor,
-        batch_format="pyarrow",
-        concurrency=rerun_concurrency,
-    )
+    rerun = doubtful.map_batches(rerun_batch, batch_format="pyarrow")
     return reassemble(confident.union(rerun))
 
 
@@ -278,7 +254,6 @@ def run_extraction_skew_aware(
     docs: ray.data.Dataset,
     *,
     span_threshold: int = 2000,
-    ocr_concurrency: Optional[int] = None,
     giant_output_blocks: Optional[int] = None,
 ) -> ray.data.Dataset:
     """Skew-aware extraction: media-heavy giants repartitioned, the rest
@@ -325,20 +300,12 @@ def run_extraction_skew_aware(
 
         giant_output_blocks = int(ray.cluster_resources().get("CPU", 4)) * 2
 
-    # both branches run concurrently: autoscaling (1, K) pools so the two
-    # extractor pools share the CPU budget instead of each demanding a
-    # full fixed-size pool (which would oversubscribe and stall)
-    if isinstance(ocr_concurrency, int):
-        ocr_concurrency = (1, ocr_concurrency)
-
     normal_out = reassemble_local(
-        extract_spans(normal, ocr_concurrency=ocr_concurrency, batch_size=None),
-        expect_dense_offsets=True,
+        extract_spans(normal, batch_size=None), expect_dense_offsets=True
     )
     giant_out = reassemble(
         extract_spans(
             giant,
-            ocr_concurrency=ocr_concurrency,
             batch_size=None,
             num_output_blocks=giant_output_blocks,
         )
@@ -392,7 +359,6 @@ def reassemble_local(
 def run_extraction(
     docs: ray.data.Dataset,
     *,
-    ocr_concurrency: Optional[int] = None,
     batch_size="auto",
     num_output_blocks: Optional[int] = None,
     agreement_threshold: Optional[float] = None,
@@ -411,7 +377,6 @@ def run_extraction(
     tune_context()
     extracted = extract_spans(
         docs,
-        ocr_concurrency=ocr_concurrency,
         batch_size=batch_size,
         num_output_blocks=num_output_blocks,
         agreement_threshold=agreement_threshold,
@@ -426,7 +391,6 @@ def run_extraction_from_flat(
     flat_path: str,
     *,
     seed: int = 42,
-    ocr_concurrency: Optional[int] = None,
     batch_size="auto",
     num_output_blocks: Optional[int] = None,
     num_read_blocks: Optional[int] = None,
@@ -438,7 +402,6 @@ def run_extraction_from_flat(
     )
     return run_extraction(
         docs,
-        ocr_concurrency=ocr_concurrency,
         batch_size=batch_size,
         num_output_blocks=num_output_blocks,
         agreement_threshold=agreement_threshold,

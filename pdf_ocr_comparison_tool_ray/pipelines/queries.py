@@ -2901,7 +2901,7 @@ FROM documents
 
 def q_extraction_hybrid_roundtrip(sf_dir: str):
     """Smart-mode extraction (ST3: low-confidence scan spans rerun on the
-    second-engine pool, better answer kept) under the same forced-OCR
+    second engine, better answer kept) under the same forced-OCR
     round-trip invariant — the rerun must preserve text content exactly
     while only route/score change (routing itself is pytest-pinned)."""
     from ..pipelines.extraction import (
@@ -2911,9 +2911,7 @@ def q_extraction_hybrid_roundtrip(sf_dir: str):
     )
 
     docs = interleave(read_flat_documents(f"{sf_dir}/documents.parquet"))
-    out = run_extraction_hybrid_rerun(
-        docs, ocr_concurrency=4, agreement_threshold=1.1
-    )
+    out = run_extraction_hybrid_rerun(docs, agreement_threshold=1.1)
     return _concat_spans(out)
 
 

@@ -414,15 +414,21 @@ def size_routed_join(
     if n_right > BROADCAST_MAX_ROWS:
         return bucketed_equi_join(left, right, keys, how)
 
-    # an empty Dataset collects to a frame without columns
+    # collect the materialized blocks directly: ``to_pandas()`` would
+    # start one more Ray Data execution.  An empty Dataset collects to a
+    # frame without columns.
+    def collect() -> pd.DataFrame:
+        blocks = ray.get(right.to_arrow_refs())
+        return pa.concat_tables(blocks, promote_options="default").to_pandas()
+
     if how in ("semi", "anti"):
         r_schema = None
-        r_df = right.to_pandas()[keys].drop_duplicates() if n_right else (
+        r_df = collect()[keys].drop_duplicates() if n_right else (
             pd.DataFrame(columns=keys)
         )
     else:
         r_schema = _schema_of(right, "right")
-        r_df = right.to_pandas() if n_right else r_schema.empty_table().to_pandas()
+        r_df = collect() if n_right else r_schema.empty_table().to_pandas()
     r_ref = ray.put(r_df)
 
     def probe(batch: pd.DataFrame):

@@ -7,11 +7,15 @@ keywords (``:392-412``), rule classification
 adding ``dates/amounts/numbers/keywords`` list columns plus
 ``doc_type``, ``type_confidence``, ``text_hash``.
 
-Compiled state (regexes, classifier patterns) lives in a callable class
-so it is built once per actor, not once per batch.
+Compiled state (regexes, classifier patterns) lives in a callable class;
+``enrich_batch`` maps it as plain Ray tasks and builds it once per worker
+process (an ``lru_cache`` factory — Ray reuses task workers), not once
+per batch and without an actor pool to warm.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import pyarrow as pa
 
@@ -48,12 +52,12 @@ class FeatureEnricher:
         return out
 
 
-def enrich(ds, *, doc_types: dict | None = None, batch_size: int = 1024):
-    """Attach feature columns to a span-rows Dataset."""
-    return ds.map_batches(
-        FeatureEnricher,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=4,
-        fn_constructor_kwargs={"doc_types": doc_types} if doc_types else None,
-    )
+@lru_cache(maxsize=None)
+def _enricher() -> FeatureEnricher:
+    return FeatureEnricher()
+
+
+def enrich_batch(batch: pa.Table) -> pa.Table:
+    """Default-vocabulary ``FeatureEnricher`` as a plain task function (one
+    per worker process)."""
+    return _enricher()(batch)

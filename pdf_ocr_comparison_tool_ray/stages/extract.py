@@ -1,11 +1,16 @@
-"""Span extraction stage — the hybrid routing engine as an actor pool.
+"""Span extraction stage — the hybrid routing engine as a task map.
 
 One callable class handles all four kinds per batch (the reference's
-``HybridOCREngine`` shape: one actor owning every engine,
+``HybridOCREngine`` shape: one object owning every engine,
 ``hybrid_ocr_engine.py:49-247``).  State (compiled patterns, the OCR
-"model", thresholds) is built once per actor in ``__init__`` and reused
-across batches; a real OCR model would be loaded in exactly the same
-place (``ocr_engine.py:56-73``, ``deepseek_ocr2_engine.py:60-94``).
+"model", thresholds) is built once in ``__init__`` and reused across
+batches.  The pipelines map the plain functions ``extract_batch`` and
+``rerun_batch`` as Ray tasks; each builds its extractor once per worker
+process through an ``lru_cache`` keyed on the constructor arguments
+(Ray reuses task workers), which is where a real OCR model would load
+its weights (``ocr_engine.py:56-73``, ``deepseek_ocr2_engine.py:60-94``).
+No actor pool: the mock engine has no weights, and a pool's start-up
+dominated the pass and held CPUs the read task needs.
 
 ``kind == "text"`` rows take a vectorized zero-copy fast path; the other
 kinds are inherently per-string algorithms (DOM parse, layout parse,
@@ -13,6 +18,9 @@ model inference) executed in the batch loop.
 """
 
 from __future__ import annotations
+
+from collections import ChainMap
+from functools import lru_cache
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -47,8 +55,7 @@ def register_extractor(kind: str):
 
     Registration must execute in the worker process too (put it at import
     time of a module the pipeline imports), or pass the extractor
-    per-pipeline via ``SpanExtractor(extra_extractors={kind: fn})`` which
-    ships it inside the actor constructor args.
+    per-pipeline via ``SpanExtractor(extra_extractors={kind: fn})``.
     """
 
     def deco(fn):
@@ -63,7 +70,7 @@ def extract_light_batch(batch: pa.Table) -> pa.Table:
 
     The filter-split half of the reference's hybrid engine
     (``hybrid_ocr_engine.py:49-247``): light spans never occupy the
-    heavy (model-holding) actor pool.  Input batches must contain only
+    heavy (model-holding) route.  Input batches must contain only
     ``kind in {text, html}`` rows (the split filter guarantees this).
     """
     kinds = batch["kind"].to_pylist()
@@ -105,19 +112,21 @@ class SpanExtractor:
             if agreement_threshold is not None
             else EXTRACTION["agreement_threshold"]
         )
-        # Warm per-actor state here.  The mock engine has no weights; a real
+        # Warm per-process state here.  The mock engine has no weights; a real
         # deployment loads the OCR model / HTML parser pools at this point.
         self._strip = strip_html
         self._parse_pdf = parse_text_layer
         self._ocr = decode_media
-        # custom kinds: module registry merged with per-pipeline extractors
-        self._custom = {**EXTRACTOR_REGISTRY, **(extra_extractors or {})}
+        # custom kinds: per-pipeline extractors over a live view of the
+        # module registry (an instance cached per process still sees kinds
+        # registered after it was built)
+        self._custom = ChainMap(extra_extractors or {}, EXTRACTOR_REGISTRY)
         # M2/M3 image preprocessing ahead of the recognizer — the
         # reference's off-by-default chain (ocr_engine.py:75-115,
-        # config.yaml:131-134).  The kernel object is warmed per actor
-        # like a real cv2/PIL pipeline would be.
+        # config.yaml:131-134).  The kernel object is warmed once, like a
+        # real cv2/PIL pipeline would be.
         self._pre = None
-        self.preprocessed_spans = 0  # per-actor counter (A6-style stat)
+        self.preprocessed_spans = 0  # per-instance counter (A6-style stat)
         if preprocess:
             from .multimodal import ImagePreprocessor
 
@@ -247,7 +256,8 @@ class SecondPassExtractor:
     split upstream guarantees it); each is re-decoded with the heavier
     engine and the better of the two answers is kept, with ``route``
     recording which engine won ("ocr" kept / "ocr2" rerun won).  A real
-    deployment loads the second model in ``__init__``.
+    deployment loads the second model in ``__init__``, once per worker
+    process through ``rerun_batch``'s cache.
     """
 
     def __init__(self):
@@ -299,3 +309,27 @@ class SecondPassExtractor:
                 "bbox": pa.array(out_b, type=_BBOX_TYPE),
             }
         )
+
+
+@lru_cache(maxsize=None)
+def _extractor(agreement_threshold, preprocess) -> SpanExtractor:
+    return SpanExtractor(agreement_threshold=agreement_threshold, preprocess=preprocess)
+
+
+def extract_batch(
+    batch: pa.Table, agreement_threshold: float | None = None, preprocess: bool = False
+) -> pa.Table:
+    """``SpanExtractor`` as a plain task function: one extractor per worker
+    process and constructor arguments."""
+    return _extractor(agreement_threshold, preprocess)(batch)
+
+
+@lru_cache(maxsize=None)
+def _second_pass() -> SecondPassExtractor:
+    return SecondPassExtractor()
+
+
+def rerun_batch(batch: pa.Table) -> pa.Table:
+    """``SecondPassExtractor`` as a plain task function (one per worker
+    process)."""
+    return _second_pass()(batch)

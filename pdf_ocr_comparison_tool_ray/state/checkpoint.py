@@ -267,7 +267,6 @@ def run_extraction_checkpointed(
     out_dir: str,
     num_partitions: int = 16,
     seed: int = 42,
-    ocr_concurrency=None,
 ) -> pd.DataFrame:
     """Run (or resume) the flagship extraction, one parquet per partition.
 
@@ -302,7 +301,7 @@ def run_extraction_checkpointed(
         return batch.loc[keep]
 
     flat = flat.map_batches(drop_done, batch_format="pandas")
-    extracted = extract_spans(interleave(flat, seed=seed), ocr_concurrency=ocr_concurrency)
+    extracted = extract_spans(interleave(flat, seed=seed))
 
     def add_partition(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()

@@ -39,8 +39,7 @@ def test_checkpoint_write_resume_identical(tmp_path, corpus_parquet):
     flat_path, docs = corpus_parquet
     out_dir = str(tmp_path / "out")
 
-    stats = run_extraction_checkpointed(flat_path, out_dir, num_partitions=P,
-                                        ocr_concurrency=2)
+    stats = run_extraction_checkpointed(flat_path, out_dir, num_partitions=P)
     assert sorted(stats["partition"]) == sorted(
         {partition_of(d["doc_id"], P) for d in docs}
     )
@@ -63,8 +62,7 @@ def test_checkpoint_write_resume_identical(tmp_path, corpus_parquet):
         for f in [f"part-{p:05d}.parquet" for p in completed_partitions(out_dir)]
     }
 
-    stats2 = run_extraction_checkpointed(flat_path, out_dir, num_partitions=P,
-                                         ocr_concurrency=2)
+    stats2 = run_extraction_checkpointed(flat_path, out_dir, num_partitions=P)
     # resume processed ONLY the destroyed partitions
     assert sorted(stats2["partition"]) == victims
     # survivors untouched (not rewritten)
@@ -83,8 +81,7 @@ def test_checkpoint_write_resume_identical(tmp_path, corpus_parquet):
 def test_manifest_lineage_fields(tmp_path, corpus_parquet):
     flat_path, _docs = corpus_parquet
     out_dir = str(tmp_path / "out2")
-    run_extraction_checkpointed(flat_path, out_dir, num_partitions=4,
-                                ocr_concurrency=2)
+    run_extraction_checkpointed(flat_path, out_dir, num_partitions=4)
     mfiles = sorted((Path(out_dir) / "_manifest").glob("p*.json"))
     assert mfiles
     for f in mfiles:
@@ -194,8 +191,7 @@ def test_compare_job_cli_contract(tmp_path):
     env = {"RAY_ADDRESS": "local", "PATH": "/usr/bin:/bin", "HOME": "/root"}
     p = subprocess.run(
         [sys.executable, "jobs/compare_job.py", "--probe", str(probe_p),
-         "--reference", str(ref_p), "--output", str(out),
-         "--ocr-concurrency", "2"],
+         "--reference", str(ref_p), "--output", str(out)],
         capture_output=True, text=True, cwd="/root/repo", env=env, timeout=300,
     )
     assert p.returncode == 0, p.stderr[-2000:]
@@ -238,8 +234,7 @@ def test_compare_job_composes_with_extract_job(tmp_path):
 
     p2 = subprocess.run(
         [sys.executable, "jobs/compare_job.py", "--probe-spans", str(spans_dir),
-         "--reference", str(ref_p), "--output", str(out),
-         "--ocr-concurrency", "2"],
+         "--reference", str(ref_p), "--output", str(out)],
         capture_output=True, text=True, cwd="/root/repo", env=env, timeout=300,
     )
     assert p2.returncode == 0, p2.stderr[-2000:]

@@ -105,7 +105,7 @@ def test_split_routing_equals_fused_extraction():
 
     docs = make_corpus(30, seed=21, skew_docs=1)
     fused = _result_df(run_extraction(interleave(_flat_ds(docs)), batch_size=None))
-    split = _result_df(run_extraction_split(interleave(_flat_ds(docs)), ocr_concurrency=2))
+    split = _result_df(run_extraction_split(interleave(_flat_ds(docs))))
     pd.testing.assert_frame_equal(fused, split)
 
 
@@ -163,7 +163,7 @@ def test_skew_aware_equals_fused_extraction():
     fused = _result_df(run_extraction(interleave(_flat_ds(docs)), batch_size=None))
     aware = _result_df(
         run_extraction_skew_aware(
-            interleave(_flat_ds(docs)), span_threshold=50, ocr_concurrency=2
+            interleave(_flat_ds(docs)), span_threshold=50
         )
     )
     pd.testing.assert_frame_equal(fused, aware)
@@ -231,15 +231,13 @@ def test_hybrid_rerun_confidence_routing():
     )
     thr = 0.93
     base = (
-        run_extraction(interleave(flat), ocr_concurrency=2, batch_size=None)
+        run_extraction(interleave(flat), batch_size=None)
         .to_pandas()
         .sort_values(["doc_id", "seq"])
         .reset_index(drop=True)
     )
     rerun = (
-        run_extraction_hybrid_rerun(
-            interleave(flat), rerun_threshold=thr, ocr_concurrency=2
-        )
+        run_extraction_hybrid_rerun(interleave(flat), rerun_threshold=thr)
         .to_pandas()
         .sort_values(["doc_id", "seq"])
         .reset_index(drop=True)
@@ -264,9 +262,7 @@ def test_hybrid_rerun_confidence_routing():
     assert (rerun.loc[doubtful, "route"] == "ocr2").any()
     # route_stats surfaces the fallback ratio
     stats = route_stats(
-        run_extraction_hybrid_rerun(
-            interleave(flat), rerun_threshold=thr, ocr_concurrency=2
-        )
+        run_extraction_hybrid_rerun(interleave(flat), rerun_threshold=thr)
     )
     ocr2 = stats.loc[stats["route"] == "ocr2", "route_ratio"]
     assert len(ocr2) == 1 and 0.0 < float(ocr2.iloc[0]) < 1.0
@@ -296,9 +292,7 @@ def test_read_flat_documents_formats(tmp_path):
 
     def run(path):
         return (
-            run_extraction(
-                interleave(read_flat_documents(str(path))), ocr_concurrency=2
-            )
+            run_extraction(interleave(read_flat_documents(str(path))))
             .to_pandas()
             .sort_values(["doc_id", "seq"])
             .reset_index(drop=True)

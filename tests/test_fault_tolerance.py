@@ -5,12 +5,15 @@ output — no dropped rows, no duplicated rows, same values.
 The crash is an ``os._exit`` (process death, as a preempted node or
 OOM-killed worker looks to Ray — not a Python exception a try/except
 could swallow), fired EXACTLY ONCE across the cluster via an
-``O_CREAT|O_EXCL`` sentinel file.  Two injection points:
+``O_CREAT|O_EXCL`` sentinel file.  Three injection points:
 
-* the stateful extractor ACTOR pool — the worker holding warmed model
+* a ``SpanExtractor`` ACTOR pool — the worker holding warmed model
   state dies mid-batch; Ray Data restarts the actor (its default pool
   sets ``max_restarts=-1`` / ``max_task_retries=-1``), ``__init__``
   re-warms the state, and the lost batch reruns;
+* the pipelines' own extraction TASK (``extract_batch``) — the worker
+  holding the per-process cached extractor dies mid-batch; Ray's task
+  retry reruns the batch in a worker that builds its extractor afresh;
 * a stateless map_batches TASK — process death mid-task; Ray's default
   task retry (system failures) reruns it on another worker.
 
@@ -43,7 +46,7 @@ from pdf_ocr_comparison_tool_ray.pipelines.extraction import (
     tune_context,
 )
 from pdf_ocr_comparison_tool_ray.stages.explode import explode_spans
-from pdf_ocr_comparison_tool_ray.stages.extract import SpanExtractor
+from pdf_ocr_comparison_tool_ray.stages.extract import SpanExtractor, extract_batch
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -246,3 +249,33 @@ def test_task_death_mid_task_output_identical(ray_session, tmp_path):
     import pandas as pd
 
     pd.testing.assert_frame_equal(out, baseline)
+
+
+def test_worker_death_in_extract_task_output_identical(ray_session, tmp_path):
+    """The extraction route every pipeline takes: ``extract_batch`` mapped
+    as a plain task, its worker killed mid-batch exactly once."""
+    import pandas as pd
+
+    tune_context()
+    sentinel = str(tmp_path / "crash-once-extract")
+
+    def crash_once_extract(batch: pa.Table) -> pa.Table:
+        try:
+            fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.close(fd)
+            os._exit(1)
+        except FileExistsError:
+            pass
+        return extract_batch(batch)
+
+    def extracted(fn):
+        return (
+            _docs()
+            .map_batches(explode_spans, batch_format="pyarrow")
+            .map_batches(fn, batch_format="pyarrow", batch_size=64)
+        )
+
+    baseline = _sorted_frame(reassemble(extracted(extract_batch)))
+    wounded = _sorted_frame(reassemble(extracted(crash_once_extract)))
+    assert os.path.exists(sentinel), "the fault never fired"
+    pd.testing.assert_frame_equal(wounded, baseline)

@@ -258,10 +258,9 @@ def test_auto_stage_config_tiers():
     assert classify_tier(32, 32) == "low"       # 1 GB/core
     hi = auto_stage_config(num_cpus=32, mem_gb=256)
     assert hi["tier"] == "high" and hi["ocr_batch_size"] == 512
-    assert hi["ocr_concurrency"] == 30 and hi["read_blocks"] == 128
+    assert hi["read_blocks"] == 128
     lo = auto_stage_config(num_cpus=4, mem_gb=4)
     assert lo["tier"] == "low" and lo["use_fp16"] is False
-    assert lo["ocr_concurrency"] == 2
 
 
 def test_ocr_scrub_grounding_parse():

@@ -16,7 +16,7 @@ from pdf_ocr_comparison_tool_ray.synth import make_corpus
 
 def _extracted(docs):
     flat = ray.data.from_pandas(pd.DataFrame(docs)[["doc_id", "text"]])
-    out = run_extraction(interleave(flat), ocr_concurrency=2)
+    out = run_extraction(interleave(flat))
     # reassembled output -> rename seq back to offset for the match stage
     return out.map_batches(
         lambda t: t.select(

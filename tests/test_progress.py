@@ -118,8 +118,7 @@ def test_no_stamp_reports_counts_only(tmp_path):
 def test_real_job_progress_and_cli(tmp_path, corpus_parquet):
     flat_path, docs = corpus_parquet
     out_dir = str(tmp_path / "out")
-    run_extraction_checkpointed(flat_path, out_dir, num_partitions=P,
-                                ocr_concurrency=2)
+    run_extraction_checkpointed(flat_path, out_dir, num_partitions=P)
     snap = job_progress(out_dir)
     assert snap["complete"] is True and snap["pct"] == 100.0
     assert snap["partitions_done"] == P == snap["partitions_total"]

@@ -17,7 +17,7 @@ from pdf_ocr_comparison_tool_ray.synth import make_corpus
 def _extracted(n=20, seed=5):
     docs = make_corpus(n, seed=seed, skew_docs=0)
     flat = ray.data.from_pandas(pd.DataFrame(docs)[["doc_id", "text"]])
-    return run_extraction(interleave(flat), ocr_concurrency=2)
+    return run_extraction(interleave(flat))
 
 
 @pytest.mark.usefixtures("ray_session")
