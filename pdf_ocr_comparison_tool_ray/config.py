@@ -85,7 +85,7 @@ EXTRACTION = {
 }
 
 # Stage sizing defaults (tuned for 32-CPU local; scale-out safe because they
-# are per-stage, per-actor knobs, not global state).
+# are per-stage knobs, not global state).
 STAGE = {
     "batch_size": 1024,          # rows per batch for text stages
     "ocr_batch_size": 256,       # scan spans per OCR batch

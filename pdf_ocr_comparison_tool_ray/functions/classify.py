@@ -17,7 +17,7 @@ from ..config import DEFAULT_DOC_TYPE
 
 
 class RuleClassifier:
-    """Compile once (per worker / per actor), classify many."""
+    """Compile once (per worker process), classify many."""
 
     def __init__(self, doc_types: Dict[str, dict], case_insensitive: bool = True):
         self.doc_types = doc_types

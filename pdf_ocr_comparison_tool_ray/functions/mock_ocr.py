@@ -4,7 +4,7 @@ The reference's OCR engines (PaddleOCR ``ocr_engine.py:163-263``,
 DeepSeek-OCR-2 ``deepseek_ocr2_engine.py:96-345``) are GPU model calls.
 This container has no OCR models, so ``media_ref`` carries a
 deterministic payload the mock engine "recognizes": the Ray-side plumbing
-(actor pool, batch shape, confidence routing) is identical to what a real
+(task map, batch shape, confidence routing) is identical to what a real
 engine drop-in would use — swap ``decode_media`` for a model call.
 
 media_ref format: ``mock://ocr/v1;b64,<urlsafe-base64-utf8-text>``

@@ -6,8 +6,8 @@ merge -> report.  Ray-Data-native topology: two Datasets; the build
 (reference) side is enriched, collected into a compact ``PageIndex`` and
 broadcast once via ``ray.put`` (the two-phase barrier becomes a
 materialized small side, not an execution-order assumption); the probe
-(voucher) side streams through a plain task map (``match_batch_ref``;
-a ``PageMatcher`` actor pool only on request), then the per-source-doc
+(voucher) side streams through a plain task map (``match_batch_ref``,
+the index fetched once per worker process), then the per-source-doc
 ordered run-merge.
 
 Scale note: this topology assumes the build side fits in one object
@@ -26,7 +26,7 @@ import ray.data
 
 from ..config import MATCHING
 from ..stages.enrich import enrich_batch
-from ..stages.match import PageIndex, PageMatcher, merge_match_group
+from ..stages.match import PageIndex, match_batch_ref, merge_match_group
 
 
 def enrich_spans(extracted: ray.data.Dataset, batch_size: int = 1024) -> ray.data.Dataset:
@@ -51,27 +51,14 @@ def match_spans(
     probe_enriched: ray.data.Dataset,
     index: PageIndex,
     cfg: Optional[dict] = None,
-    concurrency=None,
     batch_size: int = 512,
 ) -> ray.data.Dataset:
-    """Probe every span against the broadcast index -> match-result rows.
-
-    Task form by default (per-worker memoized index fetch — see
-    ``match_batch_ref``); pass ``concurrency`` to force an actor pool
-    (e.g. when a real model rides along with the index)."""
+    """Probe every span against the broadcast index -> match-result rows
+    (a plain task map; the index is fetched once per worker process —
+    see ``match_batch_ref``)."""
     import functools
 
-    from ..stages.match import match_batch_ref
-
     index_ref = ray.put(index)
-    if concurrency is not None:
-        return probe_enriched.map_batches(
-            PageMatcher,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"index_ref": index_ref, "cfg": cfg or MATCHING},
-        )
     return probe_enriched.map_batches(
         functools.partial(match_batch_ref, index_ref=index_ref, cfg=cfg or MATCHING),
         batch_format="pyarrow",

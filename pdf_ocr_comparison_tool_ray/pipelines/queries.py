@@ -3040,7 +3040,7 @@ def q_compare_pipeline(sf_dir: str, shuffle: bool = False):
     # probe and build both filter the same enriched table, and the match
     # join consumes each side again — without the pin the paging+enrich
     # pipeline re-executes per consumer (~2x the query wall time at
-    # sf0.1); enriching before the split halves the enrich pool work
+    # sf0.1); enriching before the split halves the enrich work
     # the old probe/build-each-enrich plan did (features are
     # parity-agnostic, so this is purely a physical plan change).
     pages = enrich_spans(_paged_docs(sf_dir, stamp=True)).materialize()
@@ -3672,7 +3672,7 @@ ORDER BY approx_count DESC, tok LIMIT {_CM_K}
 
 
 # ---------------------------------------------------------------------------
-# multimodal featurize: the actor-pool decode+feature stage over the
+# multimodal featurize: the task-mapped decode+feature stage over the
 # deterministic fake codec.  Payload samples are the text's utf-8 bytes
 # tiled to size (ASCII corpus -> byte == code point), so the 16-dim
 # feature vectors (luma histogram / frame-energy windows / sampled frame
@@ -3707,7 +3707,7 @@ def q_multimodal_features(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     media = docs.map_batches(media_from_text_batch, batch_format="pyarrow")
-    feats = featurize_media(media, batch_size=64)  # (2,8) autoscale default
+    feats = featurize_media(media, batch_size=64)
 
     return feats.map_batches(_explode_features, batch_format="pyarrow")
 
@@ -3762,7 +3762,7 @@ UNION ALL SELECT media_id, media_type, CAST(dim AS BIGINT), value FROM vidf
 
 def q_multimodal_preprocessed(sf_dir: str):
     """M2/M3 in the chain: decode -> grayscale/box-blur/percentile
-    contrast/deskew -> featurize (all actor-pool stages).  The oracle
+    contrast/deskew -> featurize (all plain task maps).  The oracle
     replays the image kernels in SQL — ITU-R 601 luma, 3x3 edge-padded
     blur with the engine's exact summation order, numpy's two-sided
     percentile lerp, the (x-lo)*(255/(hi-lo)) stretch, and
@@ -3777,10 +3777,7 @@ def q_multimodal_preprocessed(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     media = docs.map_batches(media_from_text_batch, batch_format="pyarrow")
-    feats = featurize_media(
-        preprocess_media(media, batch_size=64),  # (2,8) autoscale defaults
-        batch_size=64,
-    )
+    feats = featurize_media(preprocess_media(media, batch_size=64), batch_size=64)
 
     return feats.map_batches(_explode_features, batch_format="pyarrow")
 
@@ -5628,8 +5625,8 @@ FROM sizes s LEFT JOIN gc g ON g.doc_id = s.doc_id
 
 # ---------------------------------------------------------------------------
 # Video frame sampling round-trip: synthesize media payloads from the
-# documents table, explode every video into stride-2 frame images via the
-# VideoFrameSampler actor pool (stages/multimodal.py:336), then DECODE
+# documents table, explode every video into stride-2 frame images (a task
+# map of ``multimodal.sample_frames_batch``), then DECODE
 # each emitted frame payload and summarize it — so the oracle pins the
 # full encode -> explode -> re-encode -> decode chain, not just row
 # counts.  mean_luma = byte_sum / 256.0 is a power-of-two division
@@ -5644,13 +5641,7 @@ def q_frame_sample(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     media = docs.map_batches(media_from_text_batch, batch_format="pyarrow")
-    # autoscaling pool: 2 actors suffice at bench scale (spin-up
-    # dominates, probed), but the per-row decode/encode work is the
-    # bottleneck at volume — the 1.28M-doc soak ran 4x faster once the
-    # pool could grow under backlog
-    frames = sample_video_frames(
-        media, stride=2, concurrency=(2, 8), batch_size=64
-    )
+    frames = sample_video_frames(media, stride=2, batch_size=64)
 
     def summarize(batch: pa.Table) -> pd.DataFrame:
         ids, fidx, sums, means = [], [], [], []
@@ -5698,7 +5689,7 @@ GROUP BY media_id, j // 256
 # ---------------------------------------------------------------------------
 # Image resize round-trip: the last of the four multimodal kernels
 # (decode / featurize / frame-sample / RESIZE) to earn an oracle.
-# Image payloads run through the ImageResizer actor pool (16x16x3 ->
+# Image payloads run through ``multimodal.resize_batch`` (16x16x3 ->
 # 8x8x3 nearest-neighbor subsample, re-encoded with the fake codec),
 # then each resized payload is decoded and digested.  The
 # position-weighted sum pins the exact pixel ORDER, which a plain byte
@@ -5708,18 +5699,17 @@ GROUP BY media_id, j // 256
 # ---------------------------------------------------------------------------
 def q_resize_digest(sf_dir: str):
     from ..stages.multimodal import (
-        ImageResizer,
         _decode_payload,
         media_from_text_batch,
+        resize_batch,
     )
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     media = docs.map_batches(media_from_text_batch, batch_format="pyarrow")
     resized = media.map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={"out_h": 8, "out_w": 8},
+        resize_batch,
+        fn_kwargs={"out_h": 8, "out_w": 8},
         batch_format="pyarrow",
-        concurrency=(2, 8),  # autoscale under backlog (see q_frame_sample)
         batch_size=64,
     )
 
@@ -7732,7 +7722,7 @@ SQL_PQ_ANN = _sql_pq_ann()
 # bytes" case): every document's NORMALIZED text renders to a 16x16x3
 # image payload (docs with doc_id % 11 == 0 also plant a byte-different
 # re-encode — one off-grid pixel perturbed — that exact byte-hash dedup
-# CANNOT pair but aHash must), the ImageAHasher actor pool emits banded
+# CANNOT pair but aHash must), a task map of ``ahash_batch`` emits banded
 # 64-bit average-hashes, and band buckets generate + verify pairs.  The
 # SQL replays the whole chain: encode, the perturbation (at a pixel the
 # 8x8 subsample never reads — the replay proves the hash-equality

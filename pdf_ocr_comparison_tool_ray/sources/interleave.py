@@ -75,10 +75,12 @@ def derive_spans(doc_id: str, text: str, seed: int = 42) -> List[Dict]:
         # round-trip invariant the synthetic corpus promises.  Same rng
         # consumption as before — the absorbed tail simply never becomes
         # its own chunk (found by the sf0.1 oracle sweep: 4/5000 docs
-        # ended in ' a' and lost it on the html route).
-        rest = words[i + take :]
-        if rest and len(" ".join(rest)) < 3:
-            take += len(rest)
+        # ended in ' a' and lost it on the html route).  Words are
+        # non-empty, so only a tail of at most 2 words can be that short:
+        # join it only then, keeping the check O(1) per chunk.
+        n_rest = len(words) - (i + take)
+        if 0 < n_rest <= 2 and len(" ".join(words[i + take :])) < 3:
+            take += n_rest
         chunk = " ".join(words[i : i + take])
         i += take
         kind = rng.choices(KINDS, weights=_KIND_WEIGHTS)[0]

@@ -1,1 +1,1 @@
-"""Ray Data stages: map_batches bodies, actor-pool classes, shuffles."""
+"""Ray Data stages: map_batches bodies and shuffles."""

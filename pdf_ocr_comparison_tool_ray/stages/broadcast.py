@@ -29,9 +29,9 @@ def broadcast_get(ref, build=None, key=None):
     every worker that touched it (capped — the cache clears at
     ``_BROADCAST_CACHE_MAX`` distinct keys so long-lived workers never
     accumulate dead state).  Corpus-proportional state must NOT flow
-    through here: size-route to a co-partition join instead, and keep
-    model-scale state in actor pools where one copy per actor is the
-    point.
+    through here: size-route to a co-partition join instead, and build
+    model-scale state once per worker process through an ``lru_cache``
+    factory (``stages/extract.py::extract_batch``).
 
     ``key`` extends the memo key beyond the ref when ``build`` depends
     on extra parameters (e.g. knn's nprobe).

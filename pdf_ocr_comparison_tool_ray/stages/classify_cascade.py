@@ -9,16 +9,19 @@ higher confidence.
 Ray-native topology (the idiomatic form SURVEY M12 names): one stateless
 rule pass adds (doc_type, type_confidence); a filter splits confident
 rows from doubtful ones; only the doubtful slice flows through the
-model-holding actor pool; union of the two branches.  The "LLM" here is
-a deterministic mock with the real engine's full shape — prompt
-template, generate call slot in ``__init__``, regex response parse — so
-a HF model drops into ``_generate`` unchanged.
+model, a plain task map (``llm_batch``) whose classifier is built once
+per worker process by an ``lru_cache`` factory (the ``extract_batch``
+idiom); union of the two branches.  The "LLM" here is a deterministic
+mock with the real engine's full shape — prompt template, generate call
+slot in ``__init__``, regex response parse — so a HF model drops into
+``_generate`` unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from functools import lru_cache
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -46,11 +49,13 @@ def _out_schema(doc_id_type: pa.DataType) -> pa.Schema:
 
 
 class MockLLMClassifier:
-    """Actor-pool stage; a real HF pipeline loads in ``__init__`` and
-    replaces ``_generate`` (document_classifier.py:129-161)."""
+    """The model slot: a real HF pipeline loads in ``__init__`` and
+    replaces ``_generate`` (document_classifier.py:129-161).
+    ``doc_types``: the candidate type names (a dict's keys or a
+    sequence)."""
 
-    def __init__(self, doc_types: dict | None = None, prompt_chars: int = 2000):
-        self.doc_types = list((doc_types or DOCUMENT_TYPES_ZH).keys())
+    def __init__(self, doc_types=None, prompt_chars: int = 2000):
+        self.doc_types = list(doc_types or DOCUMENT_TYPES_ZH)
         self.prompt_chars = prompt_chars
         # model/tokenizer load slot (deterministic mock here)
         self._generate = self._mock_generate
@@ -100,19 +105,25 @@ class MockLLMClassifier:
         )
 
 
+@lru_cache(maxsize=None)
+def _llm(doc_types: tuple) -> MockLLMClassifier:
+    return MockLLMClassifier(doc_types)
+
+
+def llm_batch(batch: pa.Table, doc_types: tuple) -> pa.Table:
+    """``MockLLMClassifier`` as a plain task function: one classifier per
+    worker process and candidate-type tuple."""
+    return _llm(doc_types)(batch)
+
+
 def classify_cascade(
     ds: ray.data.Dataset,
     doc_types: dict | None = None,
     llm_threshold: float = 0.7,
-    llm_concurrency=(2, 8),
 ) -> ray.data.Dataset:
     """(doc_id, text) rows -> (doc_id, doc_type, type_confidence, classifier).
 
-    Confident rule rows never touch the LLM pool (filter-split + union).
-    llm_concurrency autoscales by default: a fixed 2-actor pool caps the
-    doubtful fraction at volume (interleaved 1.28M-doc probe: 42-63 s
-    fixed vs 17-19 s autoscaled); at real deployment size it to the GPU
-    count.
+    Confident rule rows never touch the LLM (filter-split + union).
     """
     types = doc_types or DOCUMENT_TYPES_ZH
 
@@ -142,9 +153,6 @@ def classify_cascade(
         batch_format="pyarrow",
     )
     refined = doubtful.map_batches(
-        MockLLMClassifier,
-        batch_format="pyarrow",
-        concurrency=llm_concurrency,
-        fn_constructor_kwargs={"doc_types": types},
+        llm_batch, fn_kwargs={"doc_types": tuple(types)}, batch_format="pyarrow"
     )
     return confident.union(refined)

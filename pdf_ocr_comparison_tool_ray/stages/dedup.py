@@ -396,30 +396,24 @@ def simhash_pairs(ds, text_col: str = "text", max_hamming: int = 3):
 def image_phash_pairs(media, max_hamming: int = 3):
     """-> near-dup IMAGE pairs (img_a, img_b, hamming) by average-hash.
 
-    The multimodal form of ``simhash_pairs``: the ImageAHasher actor
-    pool (stages/multimodal.py) hashes each image payload and emits 20
+    The multimodal form of ``simhash_pairs``: a plain task map of
+    ``multimodal.ahash_batch`` hashes each image payload and emits 20
     Manku block-triple table rows (33-bit keys — exact recall for
     hamming<=3, and unlike 16-bit bands the buckets stay sparse past
-    2^16 images; see the class docstring for the measured saturation);
+    2^16 images; see the aHash notes there for the measured saturation);
     table-key buckets generate candidates, a numpy xor+popcount over
     the carried 16-bit bands verifies.  Map-only hashing, one small
     keyed shuffle (20 scalar rows per image — payload bytes never
     re-shuffle), bucketed pair-gen: the simhash_pairs scale argument
     with scale-proof keying.
     """
-    from .multimodal import ImageAHasher
+    from .multimodal import N_BANDS, ahash_batch
 
     if max_hamming > 3:
         raise ValueError(
             "block-triple keying guarantees recall only for hamming <= 3"
         )
-    banded = media.map_batches(
-        ImageAHasher,
-        batch_format="pyarrow",
-        concurrency=(2, 8),  # payload-decode pool: autoscale under backlog
-        batch_size=64,
-    )
-    n_bands = ImageAHasher.N_BANDS
+    banded = media.map_batches(ahash_batch, batch_format="pyarrow", batch_size=64)
 
     def pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
         bucket = bucket.drop_duplicates(["band_id", "band_key", "media_id"])
@@ -436,7 +430,7 @@ def image_phash_pairs(media, max_hamming: int = 3):
         m = bucket.merge(bucket, on=["band_id", "band_key"])
         m = m[m["media_id_x"] < m["media_id_y"]]
         d = np.zeros(len(m), dtype=np.int64)
-        for j in range(n_bands):  # popcount over 16-bit band xors
+        for j in range(N_BANDS):  # popcount over 16-bit band xors
             x = m[f"b{j}_x"].to_numpy(np.int64) ^ m[f"b{j}_y"].to_numpy(np.int64)
             d += (
                 np.unpackbits(x.astype(np.uint16).view(np.uint8))

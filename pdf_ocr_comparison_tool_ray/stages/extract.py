@@ -123,14 +123,13 @@ class SpanExtractor:
         self._custom = ChainMap(extra_extractors or {}, EXTRACTOR_REGISTRY)
         # M2/M3 image preprocessing ahead of the recognizer — the
         # reference's off-by-default chain (ocr_engine.py:75-115,
-        # config.yaml:131-134).  The kernel object is warmed once, like a
-        # real cv2/PIL pipeline would be.
+        # config.yaml:131-134).
         self._pre = None
         self.preprocessed_spans = 0  # per-instance counter (A6-style stat)
         if preprocess:
-            from .multimodal import ImagePreprocessor
+            from .multimodal import preprocess_one
 
-            self._pre = ImagePreprocessor()
+            self._pre = preprocess_one
 
     def _preprocess_page(self, media_ref: str) -> None:
         """Run the real M2/M3 kernels on the span's page image.
@@ -149,7 +148,7 @@ class SpanExtractor:
         raw = np.frombuffer(
             self._ocr(media_ref).encode()[:4096].ljust(16, b"\0"), dtype=np.uint8
         )
-        self._pre.preprocess_one(np.resize(raw, (16, 16, 3)).astype(np.uint8))
+        self._pre(np.resize(raw, (16, 16, 3)).astype(np.uint8))
         self.preprocessed_spans += 1
 
     def __call__(self, batch: pa.Table) -> pa.Table:

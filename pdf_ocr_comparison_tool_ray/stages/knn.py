@@ -15,7 +15,7 @@
 Both run as TASK-pool ``map_batches`` with the broadcast state fetched
 through a per-worker memo: warm workers fetch + prep the query state
 once, with none of the per-call actor-pool spin-up an actor stage pays
-(measured ~3x on short runs; model-scale state stays in actor pools).
+(measured ~3x on short runs).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ Reference semantics (preserved exactly, with nondeterminism removed):
 Topology: the build side is materialized into a compact index and
 broadcast once via ``ray.put`` (the reference's in-memory
 ``PageFeatureIndex`` is small by design); probe tasks fetch it once per
-actor in ``__init__``.  For a large build side the same probe logic
+worker process (``match_batch_ref``).  For a large build side the same probe logic
 runs after a ``groupby(text_hash)`` co-shuffle — see
 ``pipelines/compare.py`` notes.
 """
@@ -72,7 +72,7 @@ class PageIndex:
                 # LAZILY by find_matches on first scoring — computing
                 # them here would serialize the work on the driver at
                 # index-build time and ship pickled Counters in the
-                # broadcast (measured slower than one in-actor pass)
+                # broadcast (measured slower than one in-worker pass)
             }
         )
         self.hash_index[page["text_hash"]].append(idx)
@@ -204,33 +204,13 @@ def match_batch_ref(batch: pa.Table, index_ref=None, cfg: Optional[dict] = None)
     """Task-form probe stage: per-worker-process memoized index fetch
     (``broadcast_get``), then ``match_batch``.
 
-    Measured faster than the actor-pool form at bench scale — task pools
-    reuse warm worker processes, so the index unpickle (and the lazy
-    token-feature pass over scored pages) runs once per process with no
-    actor spin-up; the memory profile is identical (one index copy per
-    worker either way, and the broadcast route is already size-gated by
-    ``run_compare_auto``)."""
+    Task workers are reused, so the index unpickle (and the lazy
+    token-feature pass over scored pages) runs once per process; one
+    index copy per worker, and the broadcast route is size-gated by
+    ``run_compare_auto``."""
     from .broadcast import broadcast_get
 
     return match_batch(batch, broadcast_get(index_ref), cfg)
-
-
-class PageMatcher:
-    """Probe-stage callable for actor pools: fetch the broadcast index
-    once per actor.  (``match_spans`` uses the task form by default;
-    this class remains for pools holding custom per-actor state.)"""
-
-    def __init__(self, index_ref=None, index: PageIndex | None = None,
-                 cfg: Optional[dict] = None):
-        if index is None:
-            import ray
-
-            index = ray.get(index_ref)
-        self.index = index
-        self.cfg = cfg or MATCHING
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return match_batch(batch, self.index, self.cfg)
 
 
 def merge_match_group(group: pa.Table) -> pa.Table:

@@ -1,6 +1,6 @@
 """Distributed match join — hash-shuffle co-partition variant of the
-broadcast ``PageMatcher`` (same per-row semantics, no full-index
-broadcast).
+broadcast-index probe ``match_batch_ref`` (same per-row semantics, no
+full-index broadcast).
 
 Reference J1–J5 (``content_matcher.py:283-367``) probe an in-memory
 index by three key families: exact ``text_hash``, shared date, shared
@@ -262,7 +262,7 @@ def run_match_shuffle(
     salt_factor: int = 8,
 ) -> ray.data.Dataset:
     """Enriched probe + build span Datasets -> match-result rows
-    (schema identical to the broadcast ``PageMatcher`` output).
+    (schema identical to the broadcast ``match_batch_ref`` output).
 
     ``salt_threshold``: build-side key frequency above which a key is
     salted ``salt_factor`` ways.  Default "auto" derives the threshold
@@ -273,8 +273,7 @@ def run_match_shuffle(
 
     # each side is consumed by two branches (key-explode + seeds/fallback);
     # materialize the light enriched columns once so the upstream extraction
-    # doesn't re-execute per branch (three concurrent copies of its actor
-    # pool would oversubscribe the cluster and can deadlock).  At 100 TB
+    # doesn't re-execute once per branch.  At 100 TB
     # this boundary is a checkpointed parquet/lance table instead.
     probe_enriched = probe_enriched.materialize()
     build_enriched = build_enriched.materialize()

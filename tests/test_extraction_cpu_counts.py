@@ -1,10 +1,14 @@
-"""Every extraction entry point finishes at 1 and at 4 logical Ray CPUs
-and returns the oracle's answer.
+"""Every stage that once ran as an actor pool finishes at 1, 2 and 4
+logical Ray CPUs and returns the oracle's answer.
 
-Extraction runs as plain task maps, so the read task always gets a CPU.
-An extractor actor pool sized from the CPU count (or fixed at four
-actors) takes every logical CPU, and the read task that feeds it is
-never scheduled: the pipeline stalls, or hangs outright.  Each CPU count
+Covered: every extraction entry point, and the registry ops whose
+extraction, multimodal (featurize, preprocess, resize, frame sample,
+aHash), LLM-cascade and page-match stages used to be pools.  They all
+run as plain task maps now, so the read task always gets a CPU.  An
+actor pool sized from the CPU count (or fixed at four actors) takes
+every logical CPU, and a ``(2, 8)`` pool cannot start its two minimum
+actors on one CPU: the read task that feeds the pool is never
+scheduled, and the pipeline stalls or hangs outright.  Each CPU count
 runs in its own subprocess (one Ray session per process) under a
 timeout.
 """
@@ -20,7 +24,8 @@ from test_oracles import SF  # the sf0.001 corpus of the oracle tests
 
 TIMEOUT_S = 240
 
-# argv: sf_dir, num_cpus.  Prints one JSON line {check: passed}.
+# argv: sf_dir, num_cpus, comma-joined registry ops.  Prints one JSON
+# line {check: passed}.
 _CHILD = r"""
 import json
 import sys
@@ -74,28 +79,39 @@ result = {name: spans(run()) == golden for name, run in runs.items()}
 con = duckdb.connect()
 for t in TABLES:
     con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
-fn, sql = SQL_QUERIES["extraction_hybrid_rerun"]
-result["extraction_hybrid_rerun"] = bool(
-    compare("extraction_hybrid_rerun", to_df(fn(sf)), con.execute(sql).df()))
+for name in sys.argv[3].split(","):
+    fn, sql = SQL_QUERIES[name]
+    result[name] = bool(compare(name, to_df(fn(sf)), con.execute(sql).df()))
 print(json.dumps(result))
 ray.shutdown()
 """
 
+# registry ops checked against their DuckDB oracles
+OPS = (
+    "extraction_hybrid_rerun",
+    "image_phash_dup",
+    "frame_sample",
+    "resize_digest",
+    "classify_cascade",
+    "multimodal_features",
+    "multimodal_preprocessed",
+    "compare_pipeline",
+)
 CHECKS = {
     "run_extraction[local]",
     "run_extraction[shuffle]",
     "run_extraction_split",
     "run_extraction_hybrid_rerun",
     "run_extraction_skew_aware",
-    "extraction_hybrid_rerun",
+    *OPS,
 }
 
 
-@pytest.mark.parametrize("num_cpus", [1, 4])
+@pytest.mark.parametrize("num_cpus", [1, 2, 4])
 def test_extraction_entry_points_finish_at_cpu_count(num_cpus):
     root = os.path.join(os.path.dirname(__file__), "..")
     p = subprocess.Popen(
-        [sys.executable, "-c", _CHILD, SF, str(num_cpus)],
+        [sys.executable, "-c", _CHILD, SF, str(num_cpus), ",".join(OPS)],
         cwd=root, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True, start_new_session=True,
     )
@@ -105,7 +121,7 @@ def test_extraction_entry_points_finish_at_cpu_count(num_cpus):
         os.killpg(p.pid, signal.SIGKILL)  # the child's Ray processes too
         p.communicate()
         pytest.fail(
-            f"extraction did not finish in {TIMEOUT_S} s at {num_cpus} logical CPU(s)"
+            f"the checks did not finish in {TIMEOUT_S} s at {num_cpus} logical CPU(s)"
         )
     assert p.returncode == 0
     result = json.loads(out.strip().splitlines()[-1])

@@ -335,6 +335,65 @@ def test_preprocess_routing_runs_kernels_and_preserves_output():
     assert plain.equals(pre)  # recognition output unchanged by the mock seam
 
 
+def _derive_spans_reference(doc_id, text, seed=42):
+    """``derive_spans`` with its original tail rule, which joins the whole
+    remaining word list at every chunk (quadratic in the word count)."""
+    import random
+
+    from pdf_ocr_comparison_tool_ray.sources import interleave as il
+
+    rng = random.Random(f"{seed}:{doc_id}")
+    words = [w for w in text.split(" ") if w]
+    spans, i, offset = [], 0, 0
+    while i < len(words):
+        take = rng.randint(6, 18)
+        rest = words[i + take :]
+        if rest and len(" ".join(rest)) < 3:
+            take += len(rest)
+        chunk = " ".join(words[i : i + take])
+        i += take
+        kind = rng.choices(il.KINDS, weights=il._KIND_WEIGHTS)[0]
+        if kind == "text":
+            spans.append({"kind": "text", "text": chunk, "media_ref": "", "offset": offset})
+        elif kind == "html":
+            spans.append({"kind": "html", "text": il.wrap_html(chunk, rng),
+                          "media_ref": "", "offset": offset})
+        elif kind == "pdf":
+            layer = il.corrupt_text(chunk, rng) if rng.random() < 0.3 else chunk
+            n_lines = max(1, (len(layer.split(" ")) + 7) // 8)
+            order = list(range(max(1, (n_lines + 2) // 3)))
+            rng.shuffle(order)
+            spans.append({"kind": "pdf",
+                          "text": il.serialize_text_layer(layer, block_order=order),
+                          "media_ref": il.encode_media(chunk), "offset": offset})
+        else:
+            spans.append({"kind": "scan", "text": "",
+                          "media_ref": il.encode_media(chunk), "offset": offset})
+        offset += 1
+    if not spans:
+        spans.append({"kind": "text", "text": "", "media_ref": "", "offset": 0})
+    rng.shuffle(spans)
+    return spans
+
+
+def test_derive_spans_tail_rule_matches_quadratic_reference():
+    """The length-bounded tail check gives the same spans and rng draws as
+    the original whole-tail join: tails ' a', ' a b', ' ab', an exactly
+    3-character tail, and a 5,400-word document."""
+    import random
+
+    body = " ".join("tok%d" % i for i in range(40))
+    for tail in (" a", " a b", " ab", " abc"):
+        for doc_id in map(str, range(60)):
+            text = body + tail
+            assert derive_spans(doc_id, text) == _derive_spans_reference(doc_id, text)
+    rng = random.Random(5400)
+    words = ["x" * rng.randint(1, 8) for _ in range(5400)]
+    big = " ".join(words)
+    for doc_id in ("big0", "big1", "big2"):
+        assert derive_spans(doc_id, big) == _derive_spans_reference(doc_id, big)
+
+
 def test_derive_spans_absorbs_degenerate_tail():
     """A trailing 1-2 char word must merge into the final chunk: as its
     own html-kind span the stripper's min-length heuristic would drop

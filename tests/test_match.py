@@ -165,7 +165,7 @@ def test_find_matches_fast_path_equals_calculate_similarity():
 @pytest.mark.usefixtures("ray_session")
 def test_shuffle_match_equals_broadcast_match():
     """The hash-shuffle co-partition join must reproduce the broadcast
-    PageMatcher rows exactly (exact-hash, candidate, fallback paths)."""
+    ``match_spans`` rows exactly (exact-hash, candidate, fallback paths)."""
     from pdf_ocr_comparison_tool_ray.pipelines.compare import run_compare_shuffle
 
     ref_docs = make_corpus(12, seed=100, skew_docs=0)

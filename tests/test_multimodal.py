@@ -1,4 +1,4 @@
-"""Multimodal binary-column stages: codec round-trip, actor-pool plumbing,
+"""Multimodal binary-column stages: codec round-trip, task-map plumbing,
 determinism, frame sampling and resize output layout."""
 
 import numpy as np
@@ -7,13 +7,13 @@ import pytest
 import ray.data
 
 from pdf_ocr_comparison_tool_ray.stages.multimodal import (
-    ImageResizer,
-    MediaFeaturizer,
+    N_BINS,
     _decode_payload,
     encode_audio,
     encode_image,
     encode_video,
     featurize_media,
+    resize_batch,
     sample_video_frames,
     synth_media_table,
 )
@@ -42,14 +42,14 @@ def test_synth_media_schema_and_determinism():
     assert set(t1["media_type"].to_pylist()) == {"image", "audio", "video"}
 
 
-def test_featurize_actor_pool(ray_session):
+def test_featurize_task_map(ray_session):
     media = ray.data.from_arrow(synth_media_table(48, seed=3))
-    out = featurize_media(media, concurrency=2, batch_size=8).to_pandas()
+    out = featurize_media(media, batch_size=8).to_pandas()
     assert len(out) == 48
-    assert all(len(f) == MediaFeaturizer.N_BINS for f in out["features"])
+    assert all(len(f) == N_BINS for f in out["features"])
     # image histograms are normalized to <=1; deterministic across runs
     out2 = featurize_media(
-        ray.data.from_arrow(synth_media_table(48, seed=3)), concurrency=2, batch_size=8
+        ray.data.from_arrow(synth_media_table(48, seed=3)), batch_size=8
     ).to_pandas()
     a = out.sort_values("media_id").reset_index(drop=True)
     b = out2.sort_values("media_id").reset_index(drop=True)
@@ -58,7 +58,7 @@ def test_featurize_actor_pool(ray_session):
 
 def test_resize_only_touches_images():
     t = synth_media_table(12, seed=5)
-    out = ImageResizer(out_h=8, out_w=8)(t)
+    out = resize_batch(t, out_h=8, out_w=8)
     for kind, payload, w, h in zip(
         out["media_type"].to_pylist(),
         out["payload"].to_pylist(),
@@ -74,7 +74,7 @@ def test_resize_only_touches_images():
 
 def test_frame_sampler_explodes_video(ray_session):
     media = ray.data.from_arrow(synth_media_table(30, seed=11))
-    frames = sample_video_frames(media, stride=2, concurrency=2).to_pandas()
+    frames = sample_video_frames(media, stride=2).to_pandas()
     # only video rows contribute; every emitted row is a decodable image
     n_expected = 0
     t = synth_media_table(30, seed=11)
@@ -90,18 +90,18 @@ def test_frame_sampler_explodes_video(ray_session):
 
 def test_frame_sample_then_featurize_chain(ray_session):
     """Video frame-sample explode feeds the featurizer directly (both
-    actor-pool stages share the payload contract)."""
+    task-map stages share the payload contract)."""
     from pdf_ocr_comparison_tool_ray.stages.multimodal import (
         featurize_media,
         sample_video_frames,
     )
 
     media = ray.data.from_arrow(synth_media_table(24, seed=2))
-    frames = sample_video_frames(media, stride=3, concurrency=2)
-    feats = featurize_media(frames, concurrency=2, batch_size=8).to_pandas()
+    frames = sample_video_frames(media, stride=3)
+    feats = featurize_media(frames, batch_size=8).to_pandas()
     assert len(feats) > 0
     assert (feats["media_type"] == "image").all()
-    assert all(len(f) == MediaFeaturizer.N_BINS for f in feats["features"])
+    assert all(len(f) == N_BINS for f in feats["features"])
 
 
 def test_image_preprocessor_kernels():
@@ -110,27 +110,27 @@ def test_image_preprocessor_kernels():
     import numpy as np
 
     from pdf_ocr_comparison_tool_ray.stages.multimodal import (
-        ImagePreprocessor,
-        _decode_payload,
-        encode_image,
+        _box_blur,
+        _grayscale,
+        _rotate,
+        preprocess_one,
     )
 
     rng = np.random.default_rng(3)
     arr = rng.integers(60, 180, (24, 24, 3), dtype=np.uint8)  # mid-range
-    pre = ImagePreprocessor()
-    out = pre.preprocess_one(arr)
+    out = preprocess_one(arr)
     assert out.shape == (24, 24, 1) and out.dtype == np.uint8
     # percentile stretch expands a mid-range image toward [0, 255]
     assert out.min() <= 10 and out.max() >= 245
     # denoise reduces local variance vs plain grayscale
-    g = ImagePreprocessor._grayscale(arr)
-    blurred = ImagePreprocessor._box_blur(g)
+    g = _grayscale(arr)
+    blurred = _box_blur(g)
     assert np.diff(blurred, axis=0).std() < np.diff(g, axis=0).std()
     # rotation kernel: 90-degree turn of an asymmetric pattern moves mass
     ramp = np.tile(np.arange(16, dtype=np.float64), (16, 1))
-    rot = ImagePreprocessor._rotate(ramp, 90.0)
+    rot = _rotate(ramp, 90.0)
     assert not np.allclose(rot, ramp)
-    assert np.allclose(ImagePreprocessor._rotate(ramp, 0.0), ramp)
+    assert np.allclose(_rotate(ramp, 0.0), ramp)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -146,7 +146,7 @@ def test_preprocess_media_stage():
     )
 
     media = ray.data.from_arrow(synth_media_table(n=24))
-    out = preprocess_media(media, concurrency=2, batch_size=8)
+    out = preprocess_media(media, batch_size=8)
     rows = out.take_all()
     assert len(rows) == 24
     for r in rows:
@@ -157,7 +157,7 @@ def test_preprocess_media_stage():
         else:  # non-image rows pass through untouched
             assert r["channels"] == 0 or r["media_type"] != "image"
     # composes with the featurizer (schema contract held)
-    feats = featurize_media(out, concurrency=2, batch_size=8).take_all()
+    feats = featurize_media(out, batch_size=8).take_all()
     assert len(feats) == 24 and all(len(f["features"]) == 16 for f in feats)
 
 
@@ -166,13 +166,12 @@ def test_image_preprocessor_idempotent_on_single_channel():
     composing the stage twice (or feeding 1-channel payloads) works."""
     import numpy as np
 
-    from pdf_ocr_comparison_tool_ray.stages.multimodal import ImagePreprocessor
+    from pdf_ocr_comparison_tool_ray.stages.multimodal import preprocess_one
 
     rng = np.random.default_rng(5)
     arr = rng.integers(0, 256, (12, 12, 3), dtype=np.uint8)
-    pre = ImagePreprocessor()
-    once = pre.preprocess_one(arr)
-    twice = pre.preprocess_one(once)
+    once = preprocess_one(arr)
+    twice = preprocess_one(once)
     assert twice.shape == (12, 12, 1) and twice.dtype == np.uint8
 
 
@@ -184,7 +183,7 @@ def test_resize_kernel_properties():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from pdf_ocr_comparison_tool_ray.stages.multimodal import ImageResizer
+    from pdf_ocr_comparison_tool_ray.stages.multimodal import _resize
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -197,7 +196,7 @@ def test_resize_kernel_properties():
     def check(h, w, oh, ow, seed):
         rng = np.random.default_rng(seed)
         arr = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-        out = ImageResizer(out_h=oh, out_w=ow)._resize(arr)
+        out = _resize(arr, oh, ow)
         assert out.shape == (oh, ow, 3)
         for r in range(oh):
             for c in range(ow):

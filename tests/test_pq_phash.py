@@ -16,10 +16,7 @@ import pytest
 import ray
 
 from pdf_ocr_comparison_tool_ray.stages.kmeans import OFFSET, QSCALE
-from pdf_ocr_comparison_tool_ray.stages.multimodal import (
-    ImageAHasher,
-    encode_image,
-)
+from pdf_ocr_comparison_tool_ray.stages.multimodal import encode_image, hash_one
 from pdf_ocr_comparison_tool_ray.stages.pq import pq_ann, quantize_vecs
 
 
@@ -213,8 +210,7 @@ def test_phash_recall_matches_bruteforce_on_random_images():
     imgs["v0"] = base
     for nf, nm in ((1, "v1"), (2, "v2"), (3, "v3")):
         imgs[nm] = _img_from_cells(range(32 - nf))
-    hasher = ImageAHasher()
-    hs = {k: hasher.hash_one(v) for k, v in imgs.items()}
+    hs = {k: hash_one(v) for k, v in imgs.items()}
     want = {
         (a, b): bin(hs[a] ^ hs[b]).count("1")
         for a in imgs
@@ -227,10 +223,9 @@ def test_phash_recall_matches_bruteforce_on_random_images():
 
 
 def test_ahash_grayscale_and_rgb_agree_on_gray_images():
-    hasher = ImageAHasher()
     rng = np.random.default_rng(3)
     g = rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)
     rgb = np.repeat(g, 3, axis=2)
     # (299+587+114)*v // 1000 == v, so a gray RGB image hashes like its
     # single-channel form (the preprocessed-payload path)
-    assert hasher.hash_one(g) == hasher.hash_one(rgb)
+    assert hash_one(g) == hash_one(rgb)
