@@ -38,8 +38,7 @@ _LOWER_TOKEN_RE = re.compile(r"[a-z0-9]+")
 _DIGITS_RE = re.compile(r"^[0-9]+$")
 
 
-_READ_BLOCK_FLOOR_BYTES = 512 * 1024  # compressed parquet bytes per block
-_READ_MIN_BLOCKS = 8
+READ_BLOCK_BYTES = 64 * 1024  # compressed parquet bytes per read block
 
 
 def _driver_reduce(partials, keys, sum_cols, int_cols=None):
@@ -63,18 +62,20 @@ def _driver_reduce(partials, keys, sum_cols, int_cols=None):
 from ..stages.broadcast import broadcast_get as _broadcast_get  # noqa: E402
 
 
-def _read(sf_dir: str, table: str, columns=None):
-    """Size-aware read: block count scales with file size, capped at
-    2x cluster CPUs.
+def _read(sf_dir: str, table: str, columns=None, filter=None):
+    """Size-aware read: one block per ``READ_BLOCK_BYTES`` of parquet
+    file, at least 1, capped at 2x cluster CPUs; ``filter`` passes
+    through to ``read_parquet`` as a row predicate.
 
-    Ray's default targets ~2x CPUs blocks regardless of size; on the
-    megabyte-scale bench tables that means 64 blocks of ~100KB, and the
-    downstream sort shuffle's per-task scheduling (~128 map + merge
-    tasks) dominates wall time (measured 10.5s -> 1.1s on the asof query
-    by dropping 64 -> 16 read blocks).  Floor: 8 blocks (parallelism for
-    CPU-heavy per-batch work on small tables); cap: 2x CPUs (at real
-    scale every table hits the cap, and dynamic block splitting re-cuts
-    oversized read outputs at target_max_block_size downstream).
+    Each block costs a task in every map and three (sample, map, reduce)
+    in every sort shuffle, so a table gets only as many blocks as its
+    bytes pay for: a 21 KB table is 1 block.  64 KiB is the measured
+    crossover (BASELINE.md, "Read block sizing"): 256 KiB slows the
+    CPU-heavy set_similarity_join at sf0.1 1.29x by leaving 3 blocks
+    for 4 CPUs, 128 KiB 1.07x with 5, while 64 KiB keeps sf0.1's
+    0.6-0.8 MB tables at the cap.  At real scale every table hits the
+    cap, and dynamic block splitting re-cuts oversized read outputs at
+    target_max_block_size downstream.
     """
     import os
 
@@ -83,11 +84,12 @@ def _read(sf_dir: str, table: str, columns=None):
     try:
         nbytes = os.path.getsize(path)
         cpus = int(ray.cluster_resources().get("CPU", 4))
-        by_size = -(-nbytes // _READ_BLOCK_FLOOR_BYTES)
-        nb = max(_READ_MIN_BLOCKS, min(2 * cpus, by_size))
+        nb = max(1, min(2 * cpus, -(-nbytes // READ_BLOCK_BYTES)))
     except (OSError, ValueError):
         pass
-    return ray.data.read_parquet(path, columns=columns, override_num_blocks=nb)
+    return ray.data.read_parquet(
+        path, columns=columns, filter=filter, override_num_blocks=nb
+    )
 
 
 def _prefix_key(text: str, k: int = 2) -> str:
@@ -863,9 +865,9 @@ FROM t
 # ---------------------------------------------------------------------------
 def q_lineitem_agg(sf_dir: str):
     cutoff = pa.scalar(pd.Timestamp("1998-09-02"), type=pa.timestamp("us"))
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_shipdate"],
+    ds = _read(
+        sf_dir, "lineitem",
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_shipdate"],
         filter=(pc.field("l_shipdate") <= cutoff),
     )
 
@@ -1204,9 +1206,8 @@ def q_knn_filtered(sf_dir: str):
         .to_pandas()
         .sort_values("vec_id")
     )
-    filtered = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet",
-        columns=["vec_id", "embedding"],
+    filtered = _read(
+        sf_dir, "embeddings", ["vec_id", "embedding"],
         filter=(pc.field("label") == _KNNF_LABEL),
     )
     result = knn_cosine(

@@ -2,12 +2,17 @@
 entry and its oracle_sql() side by side via DuckDB, compare row count,
 column set, and order-insensitive values.
 
-Usage: python scripts/check_queries.py [sf_dir] [query ...]
+Each passing op prints ``[name] OK (N rows, X.XX s)``: the wall time of
+the Ray side alone (the op call plus collecting its result), so per-op
+crossovers need no separate timing script.
+
+Usage: python scripts/check_queries.py [sf_dir] [--strict] [query ...]
 """
 
 from __future__ import annotations
 
 import sys
+import time
 
 sys.path.insert(0, ".")
 
@@ -52,7 +57,8 @@ STRICT = False  # --strict: require identical dtypes (the driver's value
 # hash is dtype-sensitive — int64 vs float64 mismatch even when equal)
 
 
-def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> bool:
+def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame,
+            wall_s: float | None = None) -> bool:
     if set(ray_df.columns) != set(sql_df.columns):
         print(f"  [{name}] SCHEMA MISMATCH ray={sorted(ray_df.columns)} sql={sorted(sql_df.columns)}")
         return False
@@ -85,7 +91,8 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> bool:
             diff = a[c] != b[c]
             print(f"    {c}: ray={a.loc[diff, c].head(3).tolist()} sql={b.loc[diff, c].head(3).tolist()}")
         return False
-    print(f"  [{name}] OK ({len(ray_df)} rows)")
+    took = "" if wall_s is None else f", {wall_s:.2f} s"
+    print(f"  [{name}] OK ({len(ray_df)} rows{took})")
     return True
 
 
@@ -126,9 +133,11 @@ def main():
             continue
         n_checked += 1
         try:
+            t0 = time.perf_counter()
             ray_df = to_df(fn(sf_dir))
+            wall_s = time.perf_counter() - t0
             sql_df = con.sql(sql).df()
-            if not compare(name, ray_df, sql_df):
+            if not compare(name, ray_df, sql_df, wall_s):
                 failures.append(name)
         except Exception as e:  # noqa: BLE001
             print(f"  [{name}] ERROR {type(e).__name__}: {e}")

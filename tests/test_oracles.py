@@ -63,16 +63,68 @@ def duck():
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("name", FAST_QUERIES)
-def test_query_matches_oracle(name, duck):
+@pytest.mark.parametrize(
+    "name,block_bytes",
+    [
+        pytest.param(n, b, id=n if b is None else f"{n}-many_blocks")
+        for b in (None, 1)
+        for n in FAST_QUERIES
+    ],
+)
+def test_query_matches_oracle(name, block_bytes, duck, monkeypatch):
+    """Each op against its oracle at two read sizings: the default (the
+    sf0.001 tables read as 1-3 blocks) and ``READ_BLOCK_BYTES = 1``,
+    which sends every table to the 2x CPU block cap so that merges of
+    partials across batches and blocks stay covered."""
     from check_queries import compare, to_df
 
+    from pdf_ocr_comparison_tool_ray.pipelines import queries as Q
     from pdf_ocr_comparison_tool_ray.pipelines.queries import SQL_QUERIES
 
+    if block_bytes is not None:
+        monkeypatch.setattr(Q, "READ_BLOCK_BYTES", block_bytes)
     fn, sql = SQL_QUERIES[name]
     ray_df = to_df(fn(SF))
     sql_df = duck.execute(sql).df()
     assert compare(name, ray_df, sql_df), f"{name} diverged from its oracle"
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_read_block_count_follows_bytes(tmp_path):
+    """``_read`` cuts one block per ``READ_BLOCK_BYTES`` of parquet file,
+    at least 1 and at most 2x cluster CPUs."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import READ_BLOCK_BYTES, _read
+
+    rng = np.random.default_rng(0)
+    row_bytes = 1024
+
+    def write(table: str, kib: float) -> int:
+        # random payloads do not compress: file bytes ~ row bytes
+        n = int(kib * 1024) // row_bytes
+        blobs = [rng.bytes(row_bytes) for _ in range(n)]
+        pq.write_table(pa.table({"id": np.arange(n), "blob": blobs}),
+                       tmp_path / f"{table}.parquet")
+        return (tmp_path / f"{table}.parquet").stat().st_size
+
+    def blocks(table: str) -> int:
+        return _read(str(tmp_path), table).materialize().num_blocks()
+
+    assert write("tiny", 2) < READ_BLOCK_BYTES
+    assert blocks("tiny") == 1
+
+    k = 3
+    size = write("k_blocks", (k - 0.5) * READ_BLOCK_BYTES / 1024)
+    assert (k - 1) * READ_BLOCK_BYTES < size <= k * READ_BLOCK_BYTES
+    assert blocks("k_blocks") == k
+
+    cap = 2 * int(ray.cluster_resources()["CPU"])
+    assert write("huge", 4 * cap * READ_BLOCK_BYTES / 1024) > cap * READ_BLOCK_BYTES
+    assert blocks("huge") == cap
 
 
 @pytest.mark.usefixtures("ray_session")
