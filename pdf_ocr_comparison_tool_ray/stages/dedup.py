@@ -1,5 +1,5 @@
-"""Deduplication suite: exact, MinHash-LSH, SimHash, n-gram Jaccard,
-embedding-cosine near-dup.
+"""Deduplication suite: exact, MinHash-LSH, SimHash, n-gram Jaccard, exact
+set-similarity join, embedding-cosine near-dup.
 
 The reference only has exact-hash dedup (D1, ``content_matcher.py:30-35,
 179, 191-194``); the near-dup family is the standard large-scale
@@ -17,6 +17,11 @@ Scale notes baked into each shape:
 * n-gram Jaccard (default path): LSH banding generates candidates,
   exact shingle-set Jaccard verifies each — O(candidates), never
   all-pairs;
+* exact set-similarity join: routed on doc x shingle cells.  Up to a
+  measured crossover, all pairs as blocked matmuls over one broadcast
+  bit matrix (a small vocabulary makes every filter's candidate set
+  near all-pairs anyway); above it, prefix filtering with bucketed
+  shuffles and the shared exact verify;
 * embedding near-dup: random-hyperplane bucket key -> groupby -> numpy
   blockwise cosine within buckets only.
 """
@@ -461,6 +466,17 @@ def _exact_jaccard(sa: frozenset, sb: frozenset) -> float:
     return (len(sa & sb) / u) if u else 0.0
 
 
+def _jaccard_frame(a_ids, b_ids, jac, id_dtype) -> pd.DataFrame:
+    """(doc_a, doc_b, jaccard) pair rows, doc ids in ``id_dtype``."""
+    return pd.DataFrame(
+        {
+            "doc_a": pd.Series(a_ids, dtype=id_dtype),
+            "doc_b": pd.Series(b_ids, dtype=id_dtype),
+            "jaccard": pd.Series(jac, dtype="float64"),
+        }
+    )
+
+
 def _jaccard_group(group: pd.DataFrame, ngram: int, threshold: float) -> pd.DataFrame:
     rows = group.sort_values("doc_id")
     ids = rows["doc_id"].tolist()
@@ -473,14 +489,7 @@ def _jaccard_group(group: pd.DataFrame, ngram: int, threshold: float) -> pd.Data
                 a_ids.append(ids[i])
                 b_ids.append(ids[j])
                 jac.append(s)
-    dtype = group["doc_id"].dtype
-    return pd.DataFrame(
-        {
-            "doc_a": pd.Series(a_ids, dtype=dtype),
-            "doc_b": pd.Series(b_ids, dtype=dtype),
-            "jaccard": pd.Series(jac, dtype="float64"),
-        }
-    )
+    return _jaccard_frame(a_ids, b_ids, jac, group["doc_id"].dtype)
 
 
 def ngram_jaccard_pairs(ds, group_col: str | None = None, ngram: int = 2,
@@ -593,14 +602,7 @@ def _verify_broadcast_sets(texts, cand, ngram: int, threshold: float, pair_ids):
                 a_ids.append(da)
                 b_ids.append(db)
                 jac.append(s)
-        dtype = batch["doc_a"].dtype
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(a_ids, dtype=dtype),
-                "doc_b": pd.Series(b_ids, dtype=dtype),
-                "jaccard": pd.Series(jac, dtype="float64"),
-            }
-        )
+        return _jaccard_frame(a_ids, b_ids, jac, batch["doc_a"].dtype)
 
     return cand.map_batches(verify_pairs, batch_format="pandas")
 
@@ -635,23 +637,12 @@ def _verify_jaccard_candidates(ds, cand, ngram: int, threshold: float):
     )
     n_cand = cand.count()
     if n_cand <= NGRAM_SMALL_CANDIDATES_MAX:
-        import ray as _ray
         import ray.data as _rd
-
-        from .broadcast import broadcast_get
 
         cand_df = cand.to_pandas()
         id_dtype = _doc_id_dtype(ds)
         if not len(cand_df):
-            return _rd.from_pandas(
-                pd.DataFrame(
-                    {
-                        "doc_a": pd.Series([], dtype=id_dtype),
-                        "doc_b": pd.Series([], dtype=id_dtype),
-                        "jaccard": pd.Series([], dtype="float64"),
-                    }
-                )
-            )
+            return _rd.from_pandas(_jaccard_frame([], [], [], id_dtype))
         text_df = _semi_join_filter(
             texts, cand_df["doc_a"], cand_df["doc_b"]
         ).to_pandas()
@@ -666,15 +657,7 @@ def _verify_jaccard_candidates(ds, cand, ngram: int, threshold: float):
                 a_ids.append(da)
                 b_ids.append(db)
                 jac.append(s)
-        return _rd.from_pandas(
-            pd.DataFrame(
-                {
-                    "doc_a": pd.Series(a_ids, dtype=id_dtype),
-                    "doc_b": pd.Series(b_ids, dtype=id_dtype),
-                    "jaccard": pd.Series(jac, dtype="float64"),
-                }
-            )
-        )
+        return _rd.from_pandas(_jaccard_frame(a_ids, b_ids, jac, id_dtype))
 
     # tier-2 gate: estimate the TOUCHED-DOC count with an HLL sketch
     # first (keys-only, bounded bytes per batch) so nothing unbounded
@@ -703,22 +686,20 @@ def _verify_jaccard_candidates(ds, cand, ngram: int, threshold: float):
                 a_ids.append(da)
                 b_ids.append(db)
                 jac.append(s)
-        dtype = batch["doc_a"].dtype
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(a_ids, dtype=dtype),
-                "doc_b": pd.Series(b_ids, dtype=dtype),
-                "jaccard": pd.Series(jac, dtype="float64"),
-            }
-        )
+        return _jaccard_frame(a_ids, b_ids, jac, batch["doc_a"].dtype)
 
     return j.map_batches(verify, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
-# Exact set-similarity join via prefix filtering (AllPairs / PPJoin
-# family: Chaudhuri et al. 2006; Bayardo et al. 2007; Xiao et al. 2008)
+# Exact set-similarity join: an all-pairs doc x shingle matrix on small
+# corpora, prefix filtering above (AllPairs / PPJoin family: Chaudhuri et
+# al. 2006; Bayardo et al. 2007; Xiao et al. 2008)
 # ---------------------------------------------------------------------------
+# corpora of at most this many doc x shingle cells (n_docs x V) take the
+# matrix route; the measured crossover against the prefix route
+# (BASELINE.md, "Set-similarity join routes")
+MATRIX_MAX_CELLS = 200_000_000
 # shingle vocabularies at or below this broadcast the df lookup (ray.put
 # once, per-worker memoized read) so prefix selection is doc-local with
 # NO shuffle; above it, df attaches via a bucketed sg join and prefixes
@@ -731,7 +712,7 @@ def _shingle_set_rows(ds, ngram: int):
     doc's set size.  Batch-local (doc == row); shingle-free docs emit
     nothing (their Jaccard with anything is 0)."""
 
-    def body(batch: pa.Table) -> pd.DataFrame:
+    def body(batch: pa.Table) -> pa.Table:
         dids, sgs, szs = [], [], []
         for did, text in zip(
             batch["doc_id"].to_pylist(), batch["text"].to_pylist()
@@ -741,15 +722,92 @@ def _shingle_set_rows(ds, ngram: int):
                 dids.append(did)
                 sgs.append(sg)
                 szs.append(len(s))
-        return pd.DataFrame(
+        return pa.table(
             {
-                "doc_id": pd.Series(dids, dtype="int64"),
-                "sg": pd.Series(sgs, dtype="object"),
-                "sz": pd.Series(szs, dtype="int64"),
+                "doc_id": pa.array(dids, type=batch.schema.field("doc_id").type),
+                "sg": pa.array(sgs, type=pa.string()),
+                "sz": pa.array(szs, type=pa.int64()),
             }
         )
 
     return ds.map_batches(body, batch_format="pyarrow")
+
+
+def _row_block_starts(n: int, n_blocks: int) -> list:
+    """Start offsets cutting the upper triangle of an n x n pair matrix
+    into ~n_blocks row blocks of equal area (the rows from s on hold
+    (n - s)^2 / 2 pairs), so the short wide blocks at the top cost what
+    the tall narrow ones at the bottom do."""
+    k = np.arange(n_blocks)
+    starts = np.floor(n - n * np.sqrt(1.0 - k / n_blocks)).astype(np.int64)
+    return sorted(set(starts.tolist()))
+
+
+def _matrix_block_pairs(spans: pd.DataFrame, ref, threshold: float) -> pd.DataFrame:
+    """Pairs with J >= threshold whose first doc lies in a row block:
+    the block's rows against every later row as float32 matmuls over
+    column slices, a float32 screen set a hair below the threshold, then
+    Jaccard on the survivors as the float64 division
+    I / (|x| + |y| - I), the ratio _exact_jaccard computes."""
+    from .broadcast import broadcast_get
+
+    packed, ids, sz = broadcast_get(ref)
+    # float32 counts are exact below 2^24; only a larger set needs float64
+    ft = np.float32 if sz.max() < 1 << 24 else np.float64
+    out = []
+    for lo, hi in zip(spans["lo"], spans["hi"]):
+        rest = packed[lo:]
+        inter = np.zeros((hi - lo, len(rest)), dtype=ft)
+        # unpack a column slice at a time, none larger than the block's
+        # own (hi - lo) x (n - lo) counts
+        step = max(1, (hi - lo) // 8)
+        for b in range(0, rest.shape[1], step):
+            x = np.unpackbits(rest[:, b : b + step], axis=1).astype(ft)
+            inter += x[: hi - lo] @ x.T
+        # keep I >= (t - 1e-6) * |x ∪ y|: float32 rounding (~1e-7
+        # relative) cannot drop a pair the float64 rule below keeps
+        bound = sz[lo:hi, None].astype(ft) + sz[None, lo:]
+        bound -= inter
+        bound *= threshold - 1e-6
+        i, j = np.nonzero(np.triu(inter >= bound, k=1))  # later rows only
+        both = inter[i, j].astype(np.int64)
+        jac = both / (sz[lo + i] + sz[lo + j] - both)
+        keep = jac >= threshold
+        out.append(
+            _jaccard_frame(
+                ids[lo + i[keep]], ids[lo + j[keep]], jac[keep], ids.dtype
+            )
+        )
+    return pd.concat(out, ignore_index=True)
+
+
+def _matrix_jaccard_pairs(rows, threshold: float):
+    """All-pairs route: the driver packs the (doc_id, sg) rows into a
+    doc x shingle bit matrix (rows in doc_id order, so row order is
+    pair order), ray.puts it once, and row blocks map as plain tasks."""
+    import ray as _ray
+    import ray.data as _rd
+
+    df = rows.to_pandas()
+    ids, r = np.unique(df["doc_id"].to_numpy(), return_inverse=True)
+    c, vocab = pd.factorize(df["sg"])
+    n = len(ids)
+    packed = np.zeros((n, -(-len(vocab) // 8)), dtype=np.uint8)
+    np.bitwise_or.at(packed, (r, c >> 3), (128 >> (c & 7)).astype(np.uint8))
+    ref = _ray.put((packed, ids, np.bincount(r, minlength=n)))
+    cpus = int(_ray.cluster_resources().get("CPU", 1))
+    # a block's (rows x later rows) counts and screen, ~16 B a cell, fit
+    # Ray Data's target block size
+    target = _rd.DataContext.get_current().target_max_block_size
+    starts = _row_block_starts(n, max(cpus, -(-16 * n * n // target)))
+    spans = [
+        {"lo": lo, "hi": hi} for lo, hi in zip(starts, starts[1:] + [n])
+    ]
+    return _rd.from_items(spans, override_num_blocks=len(spans)).map_batches(
+        _matrix_block_pairs,
+        fn_kwargs={"ref": ref, "threshold": threshold},
+        batch_format="pandas",
+    )
 
 
 def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
@@ -757,38 +815,65 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
     Jaccard >= threshold — the database-literature counterpart of the
     LSH candidate generators (no recall loss, no banding tune).
 
-    Prefix filtering principle: a pair with J >= t shares at least
-    ceil(t*|x|) elements with either side x (|x ∩ y| >= t*|x ∪ y| >=
-    t*|x|), so under ANY global total order the first
-    p = |x| - ceil(t*|x|) + 1 elements of x must contain a shared
-    element — keeping only the suffix of ceil(t*|x|) - 1 elements
-    cannot hold the whole intersection.  Candidates = pairs sharing a
-    PREFIX shingle; exactness follows, whatever order is chosen.  The
-    order chosen is global-df-rarest-first, which makes prefix shingles
-    the LOW-frequency ones so the per-shingle self-merge stays
-    near-linear instead of quadratic on hot shingles.
+    One map computes each doc's distinct shingle set once, as
+    (doc_id, sg, sz) rows; shingle-free docs emit nothing.  The route
+    is chosen on doc x shingle cells, n_docs x V, with V bounded by the
+    row count or, where that bound is too loose, an HLL estimate
+    (keys-only partials; nothing corpus-sized reaches the driver to
+    decide):
 
-    Plan (all bucketed, nothing corpus-sized on the driver):
-    1. (doc_id, sg, sz) distinct-shingle rows, batch-local;
-    2. global shingle df via mergeable per-batch partials (a hot
-       shingle ships one partial row per batch, never its raw rows);
-    3. prefix selection, size-routed on vocab (broadcast lookup +
-       doc-local re-derive below PREFIX_BROADCAST_VOCAB_MAX; bucketed
-       sg join + doc_id co-partition above);
-    4. candidate pairs: per-prefix-shingle self-merge (singleton
-       shingles prefiltered), the AllPairs length filter
-       (min_sz/max_sz >= t is NECESSARY for J >= t), pair dedup;
-    5. exact verification via the shared size-routed path
-       (_verify_jaccard_candidates — identical to ngram_jaccard_pairs).
+    * at most MATRIX_MAX_CELLS -- all pairs: the driver packs the rows
+      into a doc x shingle bit matrix (0.6 MB for 5,000 docs over 931
+      bigrams), ray.puts it once, and row blocks of equal triangle area
+      map as plain tasks, each computing its rows against every later
+      row with float32 matmuls; a block's counts fit Ray Data's target
+      block size.  On a small vocabulary the prefix filter below
+      degrades to near all-pairs candidates anyway (sf0.1: 5.5M
+      candidates for 256 pairs) and pays three shuffles for them;
+    * above it -- prefix filtering.  A pair with J >= t shares at least
+      ceil(t*|x|) elements with either side x (|x ∩ y| >= t*|x ∪ y| >=
+      t*|x|), so under ANY global total order the first
+      p = |x| - ceil(t*|x|) + 1 elements of x must contain a shared
+      element.  Candidates = pairs sharing a PREFIX shingle; exactness
+      follows, whatever order is chosen.  The order is
+      global-df-rarest-first, so prefix shingles are the LOW-frequency
+      ones and the per-shingle self-merge stays near-linear on a large
+      vocabulary.  Plan (all bucketed):
+      1. global shingle df via mergeable per-batch partials (a hot
+         shingle ships one partial row per batch, never its raw rows);
+      2. prefix selection, size-routed on vocab (broadcast lookup +
+         doc-local re-derive below PREFIX_BROADCAST_VOCAB_MAX; bucketed
+         sg join + doc_id co-partition above);
+      3. candidate pairs: per-prefix-shingle self-merge (singleton
+         shingles prefiltered), the AllPairs length filter
+         (min_sz/max_sz >= t is NECESSARY for J >= t), pair dedup;
+      4. exact verification via the shared size-routed path
+         (_verify_jaccard_candidates — identical to ngram_jaccard_pairs).
+
+    For 0 < threshold <= 1 both routes return the same pairs with the
+    same float64 Jaccard, and doc ids in the input's doc_id dtype.
     """
     import math
 
     import ray as _ray
+    import ray.data as _rd
 
     from .broadcast import broadcast_get
+    from .sketch import approx_distinct
 
-    # consumed by the df partials and (join route only) the df attach
+    id_dtype = _doc_id_dtype(ds)
+    # read by the route gate, then by the matrix build or the df partials
+    # and (join route only) the df attach
     rows = _shingle_set_rows(ds, ngram).materialize()
+    n_docs, n_rows = ds.count(), rows.count()
+    if not n_rows:  # no doc has a shingle
+        return _rd.from_pandas(_jaccard_frame([], [], [], id_dtype))
+    # V <= n_rows, so the HLL pass runs only when that bound is too loose
+    if (
+        n_docs * n_rows <= MATRIX_MAX_CELLS
+        or n_docs * approx_distinct(rows, "sg") <= MATRIX_MAX_CELLS
+    ):
+        return _matrix_jaccard_pairs(rows, threshold)
 
     def df_partial(b: pd.DataFrame) -> pd.DataFrame:
         out = b.groupby("sg", as_index=False).agg(df=("doc_id", "size"))
@@ -828,7 +913,7 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
                     szs.append(sz)
             return pd.DataFrame(
                 {
-                    "doc_id": pd.Series(dids, dtype="int64"),
+                    "doc_id": pd.Series(dids, dtype=id_dtype),
                     "sg": pd.Series(sgs, dtype="object"),
                     "sz": pd.Series(szs, dtype="int64"),
                 }
@@ -857,8 +942,8 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
 
     _EMPTY_PAIRS = pd.DataFrame(
         {
-            "doc_a": pd.Series([], dtype="int64"),
-            "doc_b": pd.Series([], dtype="int64"),
+            "doc_a": pd.Series([], dtype=id_dtype),
+            "doc_b": pd.Series([], dtype=id_dtype),
         }
     )
 
@@ -886,7 +971,7 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
         ]
         out = m[["doc_id_a", "doc_id_b"]].drop_duplicates()
         out.columns = ["doc_a", "doc_b"]
-        return out.astype("int64").reset_index(drop=True)
+        return out.reset_index(drop=True)
 
     cand = bucketed_map_groups(prefixes, "sg", pair_bucket, n_buckets=64)
     cand = bucketed_drop_duplicates(

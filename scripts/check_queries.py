@@ -4,7 +4,9 @@ column set, and order-insensitive values.
 
 Each passing op prints ``[name] OK (N rows, X.XX s)``: the wall time of
 the Ray side alone (the op call plus collecting its result), so per-op
-crossovers need no separate timing script.
+crossovers need no separate timing script.  Before the first timed op,
+one short pass holds every Ray CPU of the session at once, so every
+worker process has started and no op's time includes worker start-up.
 
 Usage: python scripts/check_queries.py [sf_dir] [--strict] [query ...]
 """
@@ -51,6 +53,20 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
         elif df[c].dtype == bool:
             df[c] = df[c].astype(str)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _hold(batch):
+    time.sleep(0.5)
+    return batch
+
+
+def warm_up() -> None:
+    """Start every worker: one task per Ray CPU, each held long enough
+    that no worker can take a second one."""
+    import ray.data
+
+    n = int(ray.cluster_resources().get("CPU", 1))
+    ray.data.range(n, override_num_blocks=n).map_batches(_hold).materialize()
 
 
 STRICT = False  # --strict: require identical dtypes (the driver's value
@@ -115,6 +131,7 @@ def main():
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    warm_up()
 
     con = duckdb.connect()
     for t in TABLES:

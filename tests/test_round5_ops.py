@@ -1652,32 +1652,139 @@ def test_set_similarity_join_exact_vs_brute(tmp_path):
     assert all(8 not in k and 9 not in k for k in got)
 
 
+def _ssjoin_route_corpora():
+    """name -> (texts, ngram): the planted corpus plus the shapes a route
+    is likeliest to get wrong."""
+    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
+    # 8 families of 8 near-dups, interleaved over the ids so their pairs
+    # cross every row-block boundary of the matrix route
+    words = [f"w{k}" for k in range(200)]
+    blocks = {
+        i: " ".join(words[(i % 8) * 20 : (i % 8) * 20 + 12] + [f"tail{i}"])
+        for i in range(1, 65)
+    }
+    return {
+        "planted": (_ssjoin_corpus(), 2),
+        "empty": ({}, 2),
+        "all_shingle_free": ({1: "", 2: "   ", 3: "!! -- ??"}, 2),
+        "one_row": ({1: base}, 2),
+        # one-token docs and docs shorter than the n-gram: whole-doc shingle
+        "short_docs": ({1: "single", 2: "single", 3: "other", 4: "x y",
+                        5: "x y", 6: "x y z", 7: ""}, 3),
+        "clique": ({i: base for i in range(1, 7)}, 2),  # J = 1.0, 15 pairs
+        # bigrams {a b, b c, c d} vs {a b, b c, c e}: J = 2/4 = t exactly
+        "exact_t": ({1: "a b c d", 2: "a b c e", 3: "q r"}, 2),
+        "many_blocks": (blocks, 2),
+    }
+
+
+def _ssjoin_expected(texts: dict, ngram: int, t: float, id_dtype) -> pd.DataFrame:
+    expect = _brute_ssjoin(texts, ngram, t)
+    keys = sorted(expect)
+    return pd.DataFrame(
+        {
+            "doc_a": pd.Series([a for a, _ in keys], dtype=id_dtype),
+            "doc_b": pd.Series([b for _, b in keys], dtype=id_dtype),
+            "jaccard": pd.Series([expect[k] for k in keys], dtype="float64"),
+        }
+    )
+
+
+def _write_typed_docs(tmp_path, texts: dict, id_type):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    ids = sorted(texts)
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(ids, type=id_type),
+                "text": pa.array([texts[d] for d in ids], type=pa.string()),
+            }
+        ),
+        tmp_path / "documents.parquet",
+    )
+    return str(tmp_path)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_set_similarity_join_bucketed_route_equivalence(tmp_path, monkeypatch):
-    """Force the oversized-vocab route (bucketed df join + doc_id
-    co-partition prefix selection) and pin it to the broadcast route."""
+    """Force all three routes -- the all-pairs matrix, the broadcast-df
+    prefix filter and the bucketed prefix filter -- and pin each to the
+    brute-force answer, doc_id dtype included, on the planted corpus and
+    on degenerate ones (also with an int32 doc_id); an empty answer
+    through the registry op keeps its declared schema on every route;
+    the gate routes on the estimated vocabulary."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
     import ray.data
 
+    from pdf_ocr_comparison_tool_ray.pipelines.queries import (
+        _schema_stable_pairs,
+        q_set_similarity_join,
+    )
     from pdf_ocr_comparison_tool_ray.stages import dedup
 
-    texts = _ssjoin_corpus()
-    sf = _write_docs(tmp_path, [{"doc_id": d, "text": x} for d, x in texts.items()])
-    ds = ray.data.read_parquet(sf + "/documents.parquet")
+    routes = {
+        "matrix": {"MATRIX_MAX_CELLS": 10**15},
+        "broadcast_prefix": {"MATRIX_MAX_CELLS": -1},
+        "bucketed_prefix": {"MATRIX_MAX_CELLS": -1,
+                            "PREFIX_BROADCAST_VOCAB_MAX": -1},
+    }
+    cases = [
+        (name, texts, ngram, pa.int64())
+        for name, (texts, ngram) in _ssjoin_route_corpora().items()
+    ]
+    cases.append(("planted_int32", _ssjoin_corpus(), 2, pa.int32()))
+    cpus = int(ray.cluster_resources()["CPU"])
+    blocks = dedup._row_block_starts(64, cpus)
+    assert len(blocks) > 1  # many_blocks spans several row blocks
+    for name, texts, ngram, id_type in cases:
+        d = tmp_path / name
+        d.mkdir()
+        sf = _write_typed_docs(d, texts, id_type)
+        want = _ssjoin_expected(texts, ngram, 0.5, id_type.to_pandas_dtype())
+        if name == "many_blocks":  # doc i is matrix row i - 1
+            block_a = np.searchsorted(blocks, want["doc_a"] - 1, side="right")
+            block_b = np.searchsorted(blocks, want["doc_b"] - 1, side="right")
+            assert (block_a != block_b).any()
+        for route, caps in routes.items():
+            with monkeypatch.context() as m:
+                for k, v in caps.items():
+                    m.setattr(dedup, k, v)
+                ds = ray.data.read_parquet(sf + "/documents.parquet")
+                # an empty Dataset collects without columns; restore them
+                # as the registry op does
+                got = (
+                    _schema_stable_pairs(
+                        dedup.prefix_jaccard_pairs(ds, ngram, 0.5),
+                        dict(want.dtypes),
+                    )
+                    .sort_values(["doc_a", "doc_b"])
+                    .reset_index(drop=True)
+                )
+                # the registry op keeps its declared schema on an empty result
+                if want.empty and id_type == pa.int64():
+                    assert dict(q_set_similarity_join(sf).dtypes.astype(str)) == {
+                        "doc_a": "int64", "doc_b": "int64", "jaccard": "float64"
+                    }
+            pd.testing.assert_frame_equal(got, want, obj=f"{name}/{route}")
 
-    fast = (
-        dedup.prefix_jaccard_pairs(ds, 2, 0.5)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
+    # the gate: the clique's 6 docs hold 54 shingle rows over 9 distinct
+    # bigrams, so the HLL estimate (6 x 9 cells) decides where the row
+    # bound (6 x 54) is too loose
+    taken = []
+    matrix = dedup._matrix_jaccard_pairs
+    monkeypatch.setattr(
+        dedup, "_matrix_jaccard_pairs", lambda *a: taken.append(a) or matrix(*a)
     )
-    monkeypatch.setattr(dedup, "PREFIX_BROADCAST_VOCAB_MAX", 0)
-    slow = (
-        dedup.prefix_jaccard_pairs(ds, 2, 0.5)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(fast, slow)
+    clique = ray.data.read_parquet(str(tmp_path / "clique" / "documents.parquet"))
+    for cap, want_matrix in ((100, True), (50, False)):
+        taken.clear()
+        monkeypatch.setattr(dedup, "MATRIX_MAX_CELLS", cap)
+        assert len(dedup.prefix_jaccard_pairs(clique, 2, 0.5).to_pandas()) == 15
+        assert bool(taken) == want_matrix, cap
 
 
 # ---------------------------------------------------------------------------
