@@ -146,14 +146,25 @@ def q_exact_dedup(sf_dir: str):
         out["dup_count"] = out["dup_count"].astype("int64")
         return out
 
-    from ..stages.bucketed import bucketed_map_groups
+    from ..stages.bucketed import map_groups_frame
+    from ..stages.dedup import _doc_id_dtype
 
-    return bucketed_map_groups(
+    # a small combiner output merges on the driver, without the shuffle
+    out = map_groups_frame(
         ds.map_batches(add_key, batch_format="pyarrow"),
         "content_key",
         merge_bucket,
         n_buckets=64,
     )
+    if not len(out.columns):  # no rows: rebuild the declared schema
+        out = pd.DataFrame(
+            {
+                "content_key": pd.Series([], dtype="object"),
+                "doc_id": pd.Series([], dtype=_doc_id_dtype(ds)),
+                "dup_count": pd.Series([], dtype="int64"),
+            }
+        )
+    return out
 
 
 SQL_EXACT_DEDUP = f"""
@@ -8522,7 +8533,7 @@ _HH_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 def q_heavy_hitters(sf_dir: str):
     from collections import Counter
 
-    from ..stages.bucketed import bucketed_map_groups, bucketed_topk
+    from ..stages.bucketed import bucketed_topk, map_groups_frame
 
     ds = _read(sf_dir, "documents", ["text"])
 
@@ -8574,12 +8585,14 @@ def q_heavy_hitters(sf_dir: str):
         out["c"] = out["c"].astype("int64")
         return out
 
-    exact = bucketed_map_groups(
+    exact = map_groups_frame(
         ds.map_batches(recount, batch_format="pyarrow"),
         "tok",
         combine,
         n_buckets=8,
-    ).to_pandas()  # <= k+1 rows
+    )  # <= k+1 rows
+    if not len(exact.columns):  # a table without batches: no tokens
+        exact = pd.DataFrame({"tok": pd.Series([], dtype="object"), "c": 0})
     n_total = int(exact.loc[exact["tok"] == "", "c"].sum())
     out = exact[(exact["tok"] != "") & (exact["c"] * _HH_K > n_total)]
     out = out.sort_values(

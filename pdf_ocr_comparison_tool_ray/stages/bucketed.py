@@ -22,6 +22,17 @@ it to a task map over the left, more co-partitions through
 ``bucketed_equi_join`` — one merge kernel and one membership kernel
 serve both routes (dim-table lookups, exact-key index joins, anti-join
 dedup).
+
+One rule finishes small inputs on the driver.  A plan whose input
+materializes to at most ``DRIVER_MAX_BYTES`` collects its blocks once
+(``driver_table``) and runs the kernel its distributed route runs per
+bucket or per block over the whole table, where one Ray Data execution
+or one sort would cost more than the work (~70 ms and ~60 ms measured
+on 4 CPUs).  ``map_groups_frame`` is that rule for a
+``bucketed_map_groups`` whose result the caller collects anyway
+(``bucketed_topk``, exact dedup); the LSH pairs and the set-similarity
+matrix in ``stages/dedup.py`` apply it too.  Above the cap, each plan
+runs its distributed route over the already-materialized input.
 """
 
 from __future__ import annotations
@@ -34,12 +45,16 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from pandas.util import hash_pandas_object
+from ray.data.block import BlockAccessor
 
 from .broadcast import broadcast_get
 
 BUCKET_COL = "_bucket"
 # size_routed_join broadcasts a right side of at most this many rows
 BROADCAST_MAX_ROWS = 5_000_000
+# a materialized input of at most this many bytes finishes on the driver;
+# the measured crossover (BASELINE.md, "Driver-finish cap")
+DRIVER_MAX_BYTES = 8 << 20
 
 
 def bucket_of(df: pd.DataFrame, keys: Sequence[str], n_buckets: int) -> pd.Series:
@@ -102,6 +117,53 @@ def bucketed_map_groups(
         .sort(BUCKET_COL)
         .map_batches(run, batch_format=batch_format, batch_size=None)
     )
+
+
+def collect_table(ds: ray.data.Dataset) -> pa.Table:
+    """A MATERIALIZED Dataset's blocks as one Arrow table, read straight
+    from the object store: ``to_pandas()`` would start one more Ray Data
+    execution.  A Dataset without blocks collects to a table without
+    columns."""
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    if not tables:
+        return pa.table({})
+    return pa.concat_tables(tables, promote_options="default")
+
+
+def fits_driver(n_bytes: int | None) -> bool:
+    """Whether a plan input of ``n_bytes`` finishes on the driver."""
+    return n_bytes is not None and n_bytes <= DRIVER_MAX_BYTES
+
+
+def driver_table(ds: ray.data.Dataset) -> pa.Table | None:
+    """``collect_table(ds)`` when the materialized ``ds`` fits the driver
+    (its size comes from block metadata, no execution), else None."""
+    return collect_table(ds) if fits_driver(ds.size_bytes()) else None
+
+
+def map_groups_frame(
+    ds: ray.data.Dataset,
+    keys: Union[str, Sequence[str]],
+    bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
+    n_buckets: int = 64,
+) -> pd.DataFrame:
+    """``bucketed_map_groups(ds, keys, bucket_fn).to_pandas()`` that
+    finishes a small input on the driver.
+
+    ``ds`` materializes once.  At most ``DRIVER_MAX_BYTES``: one
+    ``bucket_fn`` call over the whole table, which is exact because
+    ``bucket_fn`` accepts one or more whole buckets and the whole table
+    is every bucket — no shuffle, no second execution.  Above the cap:
+    ``bucketed_map_groups`` over the materialized input.  On both
+    routes an input without rows returns a frame without columns
+    (``bucket_fn`` never sees an empty frame).
+    """
+    ds = ds.materialize()
+    small = driver_table(ds)
+    if small is None:
+        return bucketed_map_groups(ds, keys, bucket_fn, n_buckets).to_pandas()
+    return bucket_fn(small.to_pandas()) if small.num_rows else pd.DataFrame()
 
 
 def bucketed_drop_duplicates(
@@ -414,21 +476,17 @@ def size_routed_join(
     if n_right > BROADCAST_MAX_ROWS:
         return bucketed_equi_join(left, right, keys, how)
 
-    # collect the materialized blocks directly: ``to_pandas()`` would
-    # start one more Ray Data execution.  An empty Dataset collects to a
-    # frame without columns.
-    def collect() -> pd.DataFrame:
-        blocks = ray.get(right.to_arrow_refs())
-        return pa.concat_tables(blocks, promote_options="default").to_pandas()
-
+    # an empty Dataset collects to a frame without columns
     if how in ("semi", "anti"):
         r_schema = None
-        r_df = collect()[keys].drop_duplicates() if n_right else (
-            pd.DataFrame(columns=keys)
-        )
+        r_df = collect_table(right).to_pandas()[keys].drop_duplicates() if (
+            n_right
+        ) else pd.DataFrame(columns=keys)
     else:
         r_schema = _schema_of(right, "right")
-        r_df = collect() if n_right else r_schema.empty_table().to_pandas()
+        r_df = collect_table(right).to_pandas() if n_right else (
+            r_schema.empty_table().to_pandas()
+        )
     r_ref = ray.put(r_df)
 
     def probe(batch: pd.DataFrame):
@@ -457,8 +515,10 @@ def bucketed_topk(
     land in one bucket, so its total is bucket-local), keeps each sorted
     block's local top-k, and merges at most ``n_buckets x k`` candidate
     rows on the driver — any global top-k member ranks <= k within its
-    own block, so the result is exact.  ``agg_spec``: {out_col: (in_col,
-    "sum")}-style pandas agg mapping applied per key.  Never collects the
+    own block, so the result is exact.  Partials of at most
+    ``DRIVER_MAX_BYTES`` skip the shuffle: ``map_groups_frame`` runs the
+    same per-bucket top-k once over all of them.  ``agg_spec``:
+    {out_col: (in_col, "sum")}-style pandas agg mapping applied per key.  Never collects the
     full per-key aggregate (a ``to_pandas()`` of an open vocabulary /
     user set does not survive corpus scale).
     """
@@ -469,7 +529,7 @@ def bucketed_topk(
         return out.sort_values(list(order_by), ascending=list(ascending),
                                kind="mergesort").head(k)
 
-    cand = bucketed_map_groups(ds, keys, bucket_top, n_buckets=n_buckets).to_pandas()
+    cand = map_groups_frame(ds, keys, bucket_top, n_buckets=n_buckets)
     if not len(cand.columns):
         # Ray drops the schema of an all-empty dataset (every bucket
         # returned zero candidate rows); rebuild the contract columns so

@@ -9,7 +9,9 @@ training-data extension, built on the sketch functions in
 Scale notes baked into each shape:
 * exact: batch-local pre-dedup THEN the ``groupby(text_hash)`` shuffle —
   the shuffle only moves one row per (hash, batch), not every row;
-* MinHash-LSH: signatures are computed batch-vectorized; the banding
+* MinHash-LSH: signatures are computed batch-vectorized; a signature
+  table of at most ``DRIVER_MAX_BYTES`` finishes on the driver (bands,
+  pairs and verification in one pass, no shuffle); above it the banding
   shuffle moves signature-FREE (band_id, band_hash, doc_id) rows only
   (~20x fewer bytes than shipping the 64-perm signature on all 16 band
   rows), and verification joins signatures onto the (few) candidate
@@ -18,10 +20,11 @@ Scale notes baked into each shape:
   exact shingle-set Jaccard verifies each — O(candidates), never
   all-pairs;
 * exact set-similarity join: routed on doc x shingle cells.  Up to a
-  measured crossover, all pairs as blocked matmuls over one broadcast
-  bit matrix (a small vocabulary makes every filter's candidate set
-  near all-pairs anyway); above it, prefix filtering with bucketed
-  shuffles and the shared exact verify;
+  measured crossover, all pairs as blocked matmuls over one bit matrix
+  (a small vocabulary makes every filter's candidate set near all-pairs
+  anyway), on the driver when one block fits ``DRIVER_MAX_BYTES`` and
+  broadcast to a task map otherwise; above it, prefix filtering with
+  bucketed shuffles and the shared exact verify;
 * embedding near-dup: random-hyperplane bucket key -> groupby -> numpy
   blockwise cosine within buckets only.
 """
@@ -41,7 +44,13 @@ from ..functions.fingerprint import (
 )
 from ..functions.textnorm import text_hash_many
 from ..functions.tokenize import tokenize
-from .bucketed import bucketed_drop_duplicates, bucketed_map_groups
+from .bucketed import (
+    bucketed_drop_duplicates,
+    bucketed_map_groups,
+    collect_table,
+    driver_table,
+    fits_driver,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -174,42 +183,43 @@ def _bands_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+def _pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
+    """Band rows of one or more WHOLE (band_id, band_hash) buckets ->
+    distinct (doc_a < doc_b) pairs sharing a band among them.
+
+    Almost every (band_id, band_hash) group is a singleton (LSH only
+    collides near-dups), so iterating groups in Python costs ~one
+    interpreter round-trip per INPUT row (measured ~1s on 80k band
+    rows).  Instead: drop singleton groups with one vectorized
+    transform('size') pass (removes ~99% of rows), then a pandas
+    self-merge on the band key emits each group's id×id cross
+    product in C; doc_a < doc_b keeps the upper triangle.  A clique
+    of k near-identical docs still costs k² merge rows — inherent to
+    LSH banding itself, not this implementation.
+    """
+    bucket = bucket.drop_duplicates(["band_id", "band_hash", "doc_id"])
+    sz = bucket.groupby(["band_id", "band_hash"])["doc_id"].transform("size")
+    bucket = bucket[sz >= 2]
+    dtype = bucket["doc_id"].dtype
+    if bucket.empty:
+        return pd.DataFrame(
+            {
+                "doc_a": pd.Series([], dtype=dtype),
+                "doc_b": pd.Series([], dtype=dtype),
+            }
+        )
+    m = bucket.merge(bucket, on=["band_id", "band_hash"])
+    m = m[m["doc_id_x"] < m["doc_id_y"]]
+    out = m[["doc_id_x", "doc_id_y"]].drop_duplicates()
+    out.columns = ["doc_a", "doc_b"]
+    return out.reset_index(drop=True)
+
+
 def _candidate_pairs(sigs) -> "ray.data.Dataset":  # noqa: F821 - doc type
     """Signature table -> deduped candidate (doc_a, doc_b) pairs sharing
     >= 1 LSH band.  Only light band rows cross the shuffle."""
     banded = sigs.map_batches(_bands_batch, batch_format="pyarrow")
-
-    def pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized in-bucket pair generation.
-
-        Almost every (band_id, band_hash) group is a singleton (LSH only
-        collides near-dups), so iterating groups in Python costs ~one
-        interpreter round-trip per INPUT row (measured ~1s on 80k band
-        rows).  Instead: drop singleton groups with one vectorized
-        transform('size') pass (removes ~99% of rows), then a pandas
-        self-merge on the band key emits each group's id×id cross
-        product in C; doc_a < doc_b keeps the upper triangle.  A clique
-        of k near-identical docs still costs k² merge rows — inherent to
-        LSH banding itself, not this implementation.
-        """
-        bucket = bucket.drop_duplicates(["band_id", "band_hash", "doc_id"])
-        sz = bucket.groupby(["band_id", "band_hash"])["doc_id"].transform("size")
-        bucket = bucket[sz >= 2]
-        dtype = bucket["doc_id"].dtype
-        if bucket.empty:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series([], dtype=dtype),
-                    "doc_b": pd.Series([], dtype=dtype),
-                }
-            )
-        m = bucket.merge(bucket, on=["band_id", "band_hash"])
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = m[["doc_id_x", "doc_id_y"]].drop_duplicates()
-        out.columns = ["doc_a", "doc_b"]
-        return out.reset_index(drop=True)
-
-    cand = bucketed_map_groups(banded, ["band_id", "band_hash"], pairs_bucket,
+    cand = bucketed_map_groups(banded, ["band_id", "band_hash"], _pairs_bucket,
                                n_buckets=64)
     # the same pair surfaces from every band the docs share -> dedup
     return bucketed_drop_duplicates(cand, ["doc_a", "doc_b"], n_buckets=64)
@@ -229,24 +239,73 @@ def _join_pair_column(pairs, table, key: str, value_src: str, value_dst: str,
                               n_buckets=n_buckets)
 
 
+def _est_jaccard_pairs(doc_a, doc_b, sig_a, sig_b, threshold: float,
+                       id_dtype) -> pd.DataFrame:
+    """The est-Jaccard rule of every ``minhash_lsh_pairs`` route: the
+    candidate pairs whose signatures agree on at least ``threshold`` of
+    their NUM_PERM positions, as (doc_a, doc_b, est_jaccard) with doc
+    ids in ``id_dtype`` — a typed empty frame when none passes."""
+    a = np.frombuffer(b"".join(sig_a), dtype=np.uint64).reshape(-1, NUM_PERM)
+    b = np.frombuffer(b"".join(sig_b), dtype=np.uint64).reshape(-1, NUM_PERM)
+    est = (a == b).mean(axis=1)
+    keep = est >= threshold
+    return pd.DataFrame(
+        {
+            "doc_a": pd.Series(np.asarray(doc_a)[keep], dtype=id_dtype),
+            "doc_b": pd.Series(np.asarray(doc_b)[keep], dtype=id_dtype),
+            "est_jaccard": pd.Series(est[keep], dtype="float64"),
+        }
+    )
+
+
+def _verify_on_driver(cand: pd.DataFrame, sig_df: pd.DataFrame,
+                      threshold: float, id_dtype) -> pd.DataFrame:
+    """``_est_jaccard_pairs`` over candidate pairs and a (doc_id,
+    signature) frame holding every doc they touch."""
+    lut = dict(zip(sig_df["doc_id"], sig_df["signature"]))
+    return _est_jaccard_pairs(
+        cand["doc_a"], cand["doc_b"],
+        [lut[d] for d in cand["doc_a"]], [lut[d] for d in cand["doc_b"]],
+        threshold, id_dtype,
+    )
+
+
 def minhash_lsh_pairs(ds, text_col: str = "text", ngram: int = 3,
                       threshold: float = 0.7):
     """-> near-dup pairs (doc_a, doc_b, est_jaccard >= threshold), deduped.
 
-    Three bucketed phases, all shuffles light (``stages/bucketed.py``):
+    Signatures first: one 64-perm row per doc (no shuffle), materialized.
+    Signatures of at most ``DRIVER_MAX_BYTES`` finish on the driver:
+    one collect, then the band rows, ``_pairs_bucket`` over the whole
+    band frame (every bucket at once, so its pairs are already distinct)
+    and the est-Jaccard rule — no shuffle, no second execution.  Above
+    the cap, three bucketed phases, all shuffles light
+    (``stages/bucketed.py``):
 
-    1. signatures: one 64-perm row per doc (no shuffle);
+    1. signatures, as above;
     2. candidates: signature-FREE band rows -> groupby(band, band_hash)
        -> in-bucket pair generation -> pair dedup;
-    3. verify: two co-partition joins pull each side's signature onto the
-       (few) candidate pairs; est_jaccard = mean positionwise equality.
+    3. verify: at most SMALL_CANDIDATES_MAX pairs pull the signatures
+       they touch to the driver; more take two co-partition joins that
+       pull each side's signature onto the pair rows.
 
-    Identical output to verifying inside the band buckets, but the band
-    shuffle no longer carries 16 copies of every signature — signatures
-    move exactly twice (once per join side), bounded by the candidate
-    set, not the banding fan-out.
+    Every route applies ``_est_jaccard_pairs`` (est_jaccard = mean
+    positionwise equality) and returns doc ids in the input's dtype.
+    The band shuffle never carries the signatures: they move at most
+    twice (once per join side), bounded by the candidate set, not the
+    banding fan-out.
     """
+    import ray.data as _rd
+
     sigs = minhash_signatures(ds, text_col, ngram).materialize()
+    id_dtype = _doc_id_dtype(sigs)
+    small = driver_table(sigs)
+    # a table without rows may have no columns: the route below handles it
+    if small is not None and small.num_rows:
+        cand_df = _pairs_bucket(_bands_batch(small).to_pandas())
+        return _rd.from_pandas(
+            _verify_on_driver(cand_df, small.to_pandas(), threshold, id_dtype)
+        )
     cand = _candidate_pairs(sigs).materialize()
 
     # size-routed verification (the broadcast-vs-shuffle rule): LSH makes
@@ -256,73 +315,27 @@ def minhash_lsh_pairs(ds, text_col: str = "text", ngram: int = 3,
     # bounded vectorized pass — no join shuffle at all.  Above the cap,
     # the two co-partition joins below remain the scale path.
     n_cand = cand.count()
+    if not n_cand:
+        return _rd.from_pandas(
+            _est_jaccard_pairs([], [], [], [], threshold, id_dtype)
+        )
     if n_cand <= SMALL_CANDIDATES_MAX:
-        import ray.data as _rd
-
         cand_df = cand.to_pandas()
-        if not len(cand_df):
-            # an empty Dataset drops its columns through to_pandas —
-            # rebuild the schema-stable empty result from the sig schema
-            id_dtype = _doc_id_dtype(sigs)
-            return _rd.from_pandas(
-                pd.DataFrame(
-                    {
-                        "doc_a": pd.Series([], dtype=id_dtype),
-                        "doc_b": pd.Series([], dtype=id_dtype),
-                        "est_jaccard": pd.Series([], dtype="float64"),
-                    }
-                )
-            )
-        import ray as _ray
-
-        from .broadcast import broadcast_get
-
         sig_df = _semi_join_filter(
             sigs, cand_df["doc_a"], cand_df["doc_b"]
         ).to_pandas()  # bounded: <= 2 * n_cand rows
-        lut = dict(zip(sig_df["doc_id"], sig_df["signature"]))
-        a = np.stack(
-            [np.frombuffer(lut[d], dtype=np.uint64) for d in cand_df["doc_a"]]
+        return _rd.from_pandas(
+            _verify_on_driver(cand_df, sig_df, threshold, id_dtype)
         )
-        b = np.stack(
-            [np.frombuffer(lut[d], dtype=np.uint64) for d in cand_df["doc_b"]]
-        )
-        est = (a == b).mean(axis=1)
-        keep = est >= threshold
-        out = pd.DataFrame(
-            {
-                "doc_a": cand_df.loc[keep, "doc_a"],
-                "doc_b": cand_df.loc[keep, "doc_b"],
-                "est_jaccard": est[keep],
-            }
-        ).reset_index(drop=True)
-        return _rd.from_pandas(out)
 
     j = _join_pair_column(cand, sigs, "doc_a", "signature", "sig_a")
     j = _join_pair_column(j, sigs, "doc_b", "signature", "sig_b")
-
-    def verify(batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            return pd.DataFrame(
-                {
-                    "doc_a": batch["doc_a"],
-                    "doc_b": batch["doc_b"],
-                    "est_jaccard": pd.Series([], dtype="float64"),
-                }
-            )
-        a = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig_a"]])
-        b = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig_b"]])
-        est = (a == b).mean(axis=1)
-        keep = est >= threshold
-        return pd.DataFrame(
-            {
-                "doc_a": batch.loc[keep, "doc_a"],
-                "doc_b": batch.loc[keep, "doc_b"],
-                "est_jaccard": est[keep],
-            }
-        )
-
-    return j.map_batches(verify, batch_format="pandas")
+    return j.map_batches(
+        lambda b: _est_jaccard_pairs(
+            b["doc_a"], b["doc_b"], b["sig_a"], b["sig_b"], threshold, id_dtype
+        ),
+        batch_format="pandas",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -743,58 +756,74 @@ def _row_block_starts(n: int, n_blocks: int) -> list:
     return sorted(set(starts.tolist()))
 
 
-def _matrix_block_pairs(spans: pd.DataFrame, ref, threshold: float) -> pd.DataFrame:
-    """Pairs with J >= threshold whose first doc lies in a row block:
-    the block's rows against every later row as float32 matmuls over
-    column slices, a float32 screen set a hair below the threshold, then
-    Jaccard on the survivors as the float64 division
-    I / (|x| + |y| - I), the ratio _exact_jaccard computes."""
-    from .broadcast import broadcast_get
-
-    packed, ids, sz = broadcast_get(ref)
+def _matrix_span_pairs(mat: tuple, lo: int, hi: int,
+                       threshold: float) -> pd.DataFrame:
+    """Pairs with J >= threshold whose first doc is a row in [lo, hi) of
+    the ``(packed, ids, sz)`` doc x shingle bit matrix: those rows
+    against every later row as float32 matmuls over column slices, a
+    float32 screen set a hair below the threshold, then Jaccard on the
+    survivors as the float64 division I / (|x| + |y| - I), the ratio
+    _exact_jaccard computes."""
+    packed, ids, sz = mat
     # float32 counts are exact below 2^24; only a larger set needs float64
     ft = np.float32 if sz.max() < 1 << 24 else np.float64
-    out = []
-    for lo, hi in zip(spans["lo"], spans["hi"]):
-        rest = packed[lo:]
-        inter = np.zeros((hi - lo, len(rest)), dtype=ft)
-        # unpack a column slice at a time, none larger than the block's
-        # own (hi - lo) x (n - lo) counts
-        step = max(1, (hi - lo) // 8)
-        for b in range(0, rest.shape[1], step):
-            x = np.unpackbits(rest[:, b : b + step], axis=1).astype(ft)
-            inter += x[: hi - lo] @ x.T
-        # keep I >= (t - 1e-6) * |x ∪ y|: float32 rounding (~1e-7
-        # relative) cannot drop a pair the float64 rule below keeps
-        bound = sz[lo:hi, None].astype(ft) + sz[None, lo:]
-        bound -= inter
-        bound *= threshold - 1e-6
-        i, j = np.nonzero(np.triu(inter >= bound, k=1))  # later rows only
-        both = inter[i, j].astype(np.int64)
-        jac = both / (sz[lo + i] + sz[lo + j] - both)
-        keep = jac >= threshold
-        out.append(
-            _jaccard_frame(
-                ids[lo + i[keep]], ids[lo + j[keep]], jac[keep], ids.dtype
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    rest = packed[lo:]
+    inter = np.zeros((hi - lo, len(rest)), dtype=ft)
+    # unpack a column slice at a time, none larger than the span's own
+    # (hi - lo) x (n - lo) counts
+    step = max(1, (hi - lo) // 8)
+    for b in range(0, rest.shape[1], step):
+        x = np.unpackbits(rest[:, b : b + step], axis=1).astype(ft)
+        inter += x[: hi - lo] @ x.T
+    # keep I >= (t - 1e-6) * |x ∪ y|: float32 rounding (~1e-7
+    # relative) cannot drop a pair the float64 rule below keeps
+    bound = sz[lo:hi, None].astype(ft) + sz[None, lo:]
+    bound -= inter
+    bound *= threshold - 1e-6
+    i, j = np.nonzero(np.triu(inter >= bound, k=1))  # later rows only
+    both = inter[i, j].astype(np.int64)
+    jac = both / (sz[lo + i] + sz[lo + j] - both)
+    keep = jac >= threshold
+    return _jaccard_frame(
+        ids[lo + i[keep]], ids[lo + j[keep]], jac[keep], ids.dtype
+    )
+
+
+def _matrix_block_pairs(spans: pd.DataFrame, ref, threshold: float) -> pd.DataFrame:
+    """Task form of ``_matrix_span_pairs``: every (lo, hi) row block of
+    the batch, the matrix read through ``broadcast_get``."""
+    from .broadcast import broadcast_get
+
+    mat = broadcast_get(ref)
+    return pd.concat(
+        [
+            _matrix_span_pairs(mat, lo, hi, threshold)
+            for lo, hi in zip(spans["lo"], spans["hi"])
+        ],
+        ignore_index=True,
+    )
 
 
 def _matrix_jaccard_pairs(rows, threshold: float):
-    """All-pairs route: the driver packs the (doc_id, sg) rows into a
-    doc x shingle bit matrix (rows in doc_id order, so row order is
-    pair order), ray.puts it once, and row blocks map as plain tasks."""
+    """All-pairs route: the driver packs the materialized (doc_id, sg)
+    rows into a doc x shingle bit matrix (rows in doc_id order, so row
+    order is pair order).  When one block's counts and screen (~16 B a
+    cell) fit ``DRIVER_MAX_BYTES``, the driver runs the kernel once over
+    all rows; otherwise it ray.puts the matrix once and row blocks map
+    as plain tasks."""
     import ray as _ray
     import ray.data as _rd
 
-    df = rows.to_pandas()
+    df = collect_table(rows).to_pandas()
     ids, r = np.unique(df["doc_id"].to_numpy(), return_inverse=True)
     c, vocab = pd.factorize(df["sg"])
     n = len(ids)
     packed = np.zeros((n, -(-len(vocab) // 8)), dtype=np.uint8)
     np.bitwise_or.at(packed, (r, c >> 3), (128 >> (c & 7)).astype(np.uint8))
-    ref = _ray.put((packed, ids, np.bincount(r, minlength=n)))
+    mat = (packed, ids, np.bincount(r, minlength=n))
+    if fits_driver(16 * n * n):
+        return _rd.from_pandas(_matrix_span_pairs(mat, 0, n, threshold))
+    ref = _ray.put(mat)
     cpus = int(_ray.cluster_resources().get("CPU", 1))
     # a block's (rows x later rows) counts and screen, ~16 B a cell, fit
     # Ray Data's target block size
@@ -824,10 +853,13 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
 
     * at most MATRIX_MAX_CELLS -- all pairs: the driver packs the rows
       into a doc x shingle bit matrix (0.6 MB for 5,000 docs over 931
-      bigrams), ray.puts it once, and row blocks of equal triangle area
-      map as plain tasks, each computing its rows against every later
-      row with float32 matmuls; a block's counts fit Ray Data's target
-      block size.  On a small vocabulary the prefix filter below
+      bigrams).  When all n x n counts and their screen (~16 B a cell)
+      fit DRIVER_MAX_BYTES, the driver computes every row against the
+      later rows itself, with no task map.  Otherwise it ray.puts the
+      matrix once, and row blocks of equal triangle area map as plain
+      tasks, each computing its rows against every later row with
+      float32 matmuls; a block's counts fit Ray Data's target block
+      size.  On a small vocabulary the prefix filter below
       degrades to near all-pairs candidates anyway (sf0.1: 5.5M
       candidates for 256 pairs) and pays three shuffles for them;
     * above it -- prefix filtering.  A pair with J >= t shares at least
@@ -842,7 +874,8 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
       1. global shingle df via mergeable per-batch partials (a hot
          shingle ships one partial row per batch, never its raw rows);
       2. prefix selection, size-routed on vocab (broadcast lookup +
-         doc-local re-derive below PREFIX_BROADCAST_VOCAB_MAX; bucketed
+         doc-local re-derive below PREFIX_BROADCAST_VOCAB_MAX, emitting
+         typed Arrow rows so a shingle-free batch stays typed; bucketed
          sg join + doc_id co-partition above);
       3. candidate pairs: per-prefix-shingle self-merge (singleton
          shingles prefiltered), the AllPairs length filter
@@ -896,7 +929,7 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
         df_pd = df_tab.to_pandas()
         df_ref = _ray.put(dict(zip(df_pd["sg"], df_pd["df"])))
 
-        def prefix_pass(batch: pa.Table) -> pd.DataFrame:
+        def prefix_pass(batch: pa.Table) -> pa.Table:
             lut = broadcast_get(df_ref)
             dids, sgs, szs = [], [], []
             for did, text in zip(
@@ -911,11 +944,15 @@ def prefix_jaccard_pairs(ds, ngram: int = 2, threshold: float = 0.5):
                     dids.append(did)
                     sgs.append(sg)
                     szs.append(sz)
-            return pd.DataFrame(
+            # typed arrow: a shingle-free batch's empty object column
+            # would fail Ray Data's column size estimate
+            return pa.table(
                 {
-                    "doc_id": pd.Series(dids, dtype=id_dtype),
-                    "sg": pd.Series(sgs, dtype="object"),
-                    "sz": pd.Series(szs, dtype="int64"),
+                    "doc_id": pa.array(
+                        dids, type=batch.schema.field("doc_id").type
+                    ),
+                    "sg": pa.array(sgs, type=pa.string()),
+                    "sz": pa.array(szs, type=pa.int64()),
                 }
             )
 

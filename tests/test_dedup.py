@@ -156,30 +156,33 @@ def test_ngram_jaccard_explicit_group_col_parity():
 
 @pytest.mark.usefixtures("ray_session")
 def test_minhash_verification_routes_equivalent(monkeypatch):
-    """The size-routed verification must be plan-invariant: the driver
-    small route (broadcast semi-join + one vectorized pass) and the
-    scale route (two co-partition signature joins) produce identical
-    pairs — the scale route never fires at test corpus sizes, so force
-    it by zeroing the cap."""
-    from pdf_ocr_comparison_tool_ray.stages import dedup
+    """All three routes of minhash_lsh_pairs must be plan-invariant: the
+    driver finish (whole signature table collected once), the driver
+    small verification (broadcast semi-join + one vectorized pass) and
+    the scale route (two co-partition signature joins) produce identical
+    frames, dtypes included.  The test corpus fits the driver, so the
+    shuffle routes are forced by zeroing the byte cap, and the scale
+    route by zeroing the candidate cap too."""
+    from pdf_ocr_comparison_tool_ray.stages import bucketed, dedup
 
     df, _ = _corpus(40, 10, seed=9)
     ds = ray.data.from_pandas(df).repartition(4)
 
-    small = (
-        dedup.minhash_lsh_pairs(ds, threshold=0.5)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
+    def pairs() -> pd.DataFrame:
+        return (
+            dedup.minhash_lsh_pairs(ds, threshold=0.5)
+            .to_pandas()
+            .sort_values(["doc_a", "doc_b"])
+            .reset_index(drop=True)
+        )
+
+    driver = pairs()
+    monkeypatch.setattr(bucketed, "DRIVER_MAX_BYTES", -1)
+    small = pairs()
     monkeypatch.setattr(dedup, "SMALL_CANDIDATES_MAX", -1)
-    joined = (
-        dedup.minhash_lsh_pairs(ds, threshold=0.5)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
+    joined = pairs()
     pd.testing.assert_frame_equal(joined[small.columns], small)
+    pd.testing.assert_frame_equal(driver, small)
     assert len(small) >= 10  # the planted dups keep the test non-vacuous
 
 

@@ -512,6 +512,68 @@ def test_size_routed_join_routes_agree(monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_driver_finish_routes_agree(tmp_path, monkeypatch):
+    """bucketed_topk (through keyword_topk and heavy_hitters) and
+    exact_dedup finish an input of at most DRIVER_MAX_BYTES on the
+    driver and shuffle a larger one.  Both routes run one kernel, so
+    they return equal frames and dtypes on an empty table, one row,
+    all-equal texts and an int32 doc_id, and an empty table keeps
+    each op's declared columns."""
+    import pyarrow.parquet as pq
+
+    from pdf_ocr_comparison_tool_ray.pipelines import queries as Q
+    from pdf_ocr_comparison_tool_ray.stages import bucketed as B
+
+    corpora = {
+        "empty": ([], pa.int64()),
+        "one_row": (["alpha beta gamma"], pa.int64()),
+        "all_equal": (["spam eggs spam eggs"] * 7, pa.int64()),
+        "int32": (
+            [f"w{i % 5} common x{i % 3} common tail{i}" for i in range(40)],
+            pa.int32(),
+        ),
+    }
+    ops = {
+        "keyword_topk": (Q.q_keyword_topk, ["keyword", "occurrences"]),
+        "heavy_hitters": (Q.q_heavy_hitters, ["tok", "cnt"]),
+        "exact_dedup": (Q.q_exact_dedup, ["content_key", "doc_id", "dup_count"]),
+    }
+    for name, (texts, id_type) in corpora.items():
+        d = tmp_path / name
+        d.mkdir()
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array(range(1, len(texts) + 1), type=id_type),
+                    "text": pa.array(texts, type=pa.string()),
+                }
+            ),
+            d / "documents.parquet",
+        )
+        for op, (fn, cols) in ops.items():
+            got = []
+            for cap in (B.DRIVER_MAX_BYTES, -1):  # driver, then shuffle
+                shuffles = []
+                with monkeypatch.context() as m:
+                    m.setattr(B, "DRIVER_MAX_BYTES", cap)
+                    m.setattr(
+                        B,
+                        "bucketed_map_groups",
+                        lambda *a, _f=B.bucketed_map_groups, **k: (
+                            shuffles.append(a) or _f(*a, **k)
+                        ),
+                    )
+                    df = fn(str(d))
+                assert bool(shuffles) == (cap < 0), (name, op, cap)
+                assert list(df.columns) == cols, (name, op, cap)
+                got.append(df.sort_values(cols).reset_index(drop=True))
+            pd.testing.assert_frame_equal(got[0], got[1], obj=f"{name}/{op}")
+            assert len(got[0]) or name == "empty", (name, op)
+            if op == "exact_dedup":
+                assert got[0]["doc_id"].dtype == id_type.to_pandas_dtype()
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_bucketed_equi_join_semi_anti():
     """semi/anti: left rows filtered by right-key existence; left schema
     and dtypes untouched (no null-fill promotion), duplicate right keys

@@ -1709,8 +1709,9 @@ def _write_typed_docs(tmp_path, texts: dict, id_type):
 
 @pytest.mark.usefixtures("ray_session")
 def test_set_similarity_join_bucketed_route_equivalence(tmp_path, monkeypatch):
-    """Force all three routes -- the all-pairs matrix, the broadcast-df
-    prefix filter and the bucketed prefix filter -- and pin each to the
+    """Force all four routes -- the all-pairs matrix finished on the
+    driver and as a task map, the broadcast-df prefix filter and the
+    bucketed prefix filter -- and pin each to the
     brute-force answer, doc_id dtype included, on the planted corpus and
     on degenerate ones (also with an int32 doc_id); an empty answer
     through the registry op keeps its declared schema on every route;
@@ -1724,13 +1725,16 @@ def test_set_similarity_join_bucketed_route_equivalence(tmp_path, monkeypatch):
         _schema_stable_pairs,
         q_set_similarity_join,
     )
-    from pdf_ocr_comparison_tool_ray.stages import dedup
+    from pdf_ocr_comparison_tool_ray.stages import bucketed, dedup
 
     routes = {
-        "matrix": {"MATRIX_MAX_CELLS": 10**15},
-        "broadcast_prefix": {"MATRIX_MAX_CELLS": -1},
-        "bucketed_prefix": {"MATRIX_MAX_CELLS": -1,
-                            "PREFIX_BROADCAST_VOCAB_MAX": -1},
+        "inline_matrix": {(dedup, "MATRIX_MAX_CELLS"): 10**15},
+        # no driver finish, so many_blocks spans several row blocks
+        "matrix": {(dedup, "MATRIX_MAX_CELLS"): 10**15,
+                   (bucketed, "DRIVER_MAX_BYTES"): -1},
+        "broadcast_prefix": {(dedup, "MATRIX_MAX_CELLS"): -1},
+        "bucketed_prefix": {(dedup, "MATRIX_MAX_CELLS"): -1,
+                            (dedup, "PREFIX_BROADCAST_VOCAB_MAX"): -1},
     }
     cases = [
         (name, texts, ngram, pa.int64())
@@ -1751,8 +1755,8 @@ def test_set_similarity_join_bucketed_route_equivalence(tmp_path, monkeypatch):
             assert (block_a != block_b).any()
         for route, caps in routes.items():
             with monkeypatch.context() as m:
-                for k, v in caps.items():
-                    m.setattr(dedup, k, v)
+                for (mod, k), v in caps.items():
+                    m.setattr(mod, k, v)
                 ds = ray.data.read_parquet(sf + "/documents.parquet")
                 # an empty Dataset collects without columns; restore them
                 # as the registry op does
