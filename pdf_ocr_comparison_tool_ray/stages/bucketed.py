@@ -25,7 +25,7 @@ dedup).
 
 One rule finishes small inputs on the driver.  A plan whose input
 materializes to at most ``DRIVER_MAX_BYTES`` collects its blocks once
-(``driver_table``) and runs the kernel its distributed route runs per
+(``collect_table``) and runs the kernel its distributed route runs per
 bucket or per block over the whole table, where one Ray Data execution
 or one sort would cost more than the work (~70 ms and ~60 ms measured
 on 4 CPUs).  ``map_groups_frame`` is that rule for a
@@ -91,6 +91,13 @@ def bucketed_map_groups(
     bucket_fn receives (pyarrow keeps nested/list columns zero-copy).
     """
     key_list: List[str] = [keys] if isinstance(keys, str) else list(keys)
+    return _sort_buckets(_tag_buckets(ds, key_list, n_buckets), bucket_fn,
+                         batch_format)
+
+
+def _tag_buckets(ds: ray.data.Dataset, key_list: List[str],
+                 n_buckets: int) -> ray.data.Dataset:
+    """``ds`` with the ``BUCKET_COL`` of ``bucketed_map_groups``."""
 
     def tag(batch: pa.Table) -> pa.Table:
         # tag on ARROW blocks: the shuffle then moves arrow blocks, which
@@ -103,6 +110,12 @@ def bucketed_map_groups(
             BUCKET_COL, pa.array(b.to_numpy(), type=pa.int64())
         )
 
+    return ds.map_batches(tag, batch_format="pyarrow")
+
+
+def _sort_buckets(tagged: ray.data.Dataset, bucket_fn, batch_format: str):
+    """The sort shuffle and per-block ``bucket_fn`` calls of
+    ``bucketed_map_groups`` over a ``_tag_buckets`` output."""
     if batch_format == "pandas":
         def run(block: pd.DataFrame):
             if len(block):
@@ -112,34 +125,27 @@ def bucketed_map_groups(
             if len(block):
                 yield bucket_fn(block.drop_columns([BUCKET_COL]))
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .sort(BUCKET_COL)
-        .map_batches(run, batch_format=batch_format, batch_size=None)
+    return tagged.sort(BUCKET_COL).map_batches(
+        run, batch_format=batch_format, batch_size=None
     )
 
 
-def collect_table(ds: ray.data.Dataset) -> pa.Table:
+def collect_table(ds: ray.data.Dataset,
+                  max_bytes: int | None = None) -> pa.Table | None:
     """A MATERIALIZED Dataset's blocks as one Arrow table, read straight
     from the object store: ``to_pandas()`` would start one more Ray Data
     execution.  A Dataset without blocks collects to a table without
-    columns."""
+    columns.  With ``max_bytes``: None instead when the blocks' size
+    (from block metadata, nothing read) is unknown or exceeds it."""
+    if max_bytes is not None:
+        n_bytes = ds.size_bytes()
+        if n_bytes is None or n_bytes > max_bytes:
+            return None
     refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
     tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
     if not tables:
         return pa.table({})
     return pa.concat_tables(tables, promote_options="default")
-
-
-def fits_driver(n_bytes: int | None) -> bool:
-    """Whether a plan input of ``n_bytes`` finishes on the driver."""
-    return n_bytes is not None and n_bytes <= DRIVER_MAX_BYTES
-
-
-def driver_table(ds: ray.data.Dataset) -> pa.Table | None:
-    """``collect_table(ds)`` when the materialized ``ds`` fits the driver
-    (its size comes from block metadata, no execution), else None."""
-    return collect_table(ds) if fits_driver(ds.size_bytes()) else None
 
 
 def map_groups_frame(
@@ -151,19 +157,24 @@ def map_groups_frame(
     """``bucketed_map_groups(ds, keys, bucket_fn).to_pandas()`` that
     finishes a small input on the driver.
 
-    ``ds`` materializes once.  At most ``DRIVER_MAX_BYTES``: one
-    ``bucket_fn`` call over the whole table, which is exact because
-    ``bucket_fn`` accepts one or more whole buckets and the whole table
-    is every bucket — no shuffle, no second execution.  Above the cap:
-    ``bucketed_map_groups`` over the materialized input.  On both
-    routes an input without rows returns a frame without columns
-    (``bucket_fn`` never sees an empty frame).
+    ``ds``, bucket-tagged, materializes once.  At most
+    ``DRIVER_MAX_BYTES``: one ``bucket_fn`` call over the whole table,
+    which is exact because ``bucket_fn`` accepts one or more whole
+    buckets and the whole table is every bucket — no shuffle, no second
+    execution.  Above the cap: the sort over the materialized blocks,
+    which are the blocks it would hold anyway (a sort buffers all its
+    input), so no extra copy stays in the object store.  On both routes
+    an input without rows returns a frame without columns (``bucket_fn``
+    never sees an empty frame).
     """
-    ds = ds.materialize()
-    small = driver_table(ds)
+    key_list = [keys] if isinstance(keys, str) else list(keys)
+    tagged = _tag_buckets(ds, key_list, n_buckets).materialize()
+    small = collect_table(tagged, DRIVER_MAX_BYTES)
     if small is None:
-        return bucketed_map_groups(ds, keys, bucket_fn, n_buckets).to_pandas()
-    return bucket_fn(small.to_pandas()) if small.num_rows else pd.DataFrame()
+        return _sort_buckets(tagged, bucket_fn, "pandas").to_pandas()
+    if not small.num_rows:
+        return pd.DataFrame()
+    return bucket_fn(small.drop_columns([BUCKET_COL]).to_pandas())
 
 
 def bucketed_drop_duplicates(
@@ -518,9 +529,9 @@ def bucketed_topk(
     own block, so the result is exact.  Partials of at most
     ``DRIVER_MAX_BYTES`` skip the shuffle: ``map_groups_frame`` runs the
     same per-bucket top-k once over all of them.  ``agg_spec``:
-    {out_col: (in_col, "sum")}-style pandas agg mapping applied per key.  Never collects the
-    full per-key aggregate (a ``to_pandas()`` of an open vocabulary /
-    user set does not survive corpus scale).
+    {out_col: (in_col, "sum")}-style pandas agg mapping applied per key.
+    Never collects the full per-key aggregate (a ``to_pandas()`` of an
+    open vocabulary / user set does not survive corpus scale).
     """
     keys: List[str] = [group_keys] if isinstance(group_keys, str) else list(group_keys)
 

@@ -11,7 +11,8 @@ Scale notes baked into each shape:
   the shuffle only moves one row per (hash, batch), not every row;
 * MinHash-LSH: signatures are computed batch-vectorized; a signature
   table of at most ``DRIVER_MAX_BYTES`` finishes on the driver (bands,
-  pairs and verification in one pass, no shuffle); above it the banding
+  pairs and verification in one pass, no shuffle) while its pairs stay
+  within the driver verify's ``SMALL_CANDIDATES_MAX``; otherwise the banding
   shuffle moves signature-FREE (band_id, band_hash, doc_id) rows only
   (~20x fewer bytes than shipping the 64-perm signature on all 16 band
   rows), and verification joins signatures onto the (few) candidate
@@ -44,13 +45,8 @@ from ..functions.fingerprint import (
 )
 from ..functions.textnorm import text_hash_many
 from ..functions.tokenize import tokenize
-from .bucketed import (
-    bucketed_drop_duplicates,
-    bucketed_map_groups,
-    collect_table,
-    driver_table,
-    fits_driver,
-)
+from . import bucketed
+from .bucketed import bucketed_drop_duplicates, bucketed_map_groups, collect_table
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +179,11 @@ def _bands_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
+def _pairs_bucket(bucket: pd.DataFrame, max_pairs: int | None = None):
     """Band rows of one or more WHOLE (band_id, band_hash) buckets ->
-    distinct (doc_a < doc_b) pairs sharing a band among them.
+    distinct (doc_a < doc_b) pairs sharing a band among them; None when
+    the pairs summed over bands exceed ``max_pairs`` (checked on the
+    group sizes, before the self-merge allocates them).
 
     Almost every (band_id, band_hash) group is a singleton (LSH only
     collides near-dups), so iterating groups in Python costs ~one
@@ -199,6 +197,8 @@ def _pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
     """
     bucket = bucket.drop_duplicates(["band_id", "band_hash", "doc_id"])
     sz = bucket.groupby(["band_id", "band_hash"])["doc_id"].transform("size")
+    if max_pairs is not None and int((sz - 1).sum()) // 2 > max_pairs:
+        return None
     bucket = bucket[sz >= 2]
     dtype = bucket["doc_id"].dtype
     if bucket.empty:
@@ -278,8 +278,12 @@ def minhash_lsh_pairs(ds, text_col: str = "text", ngram: int = 3,
     Signatures of at most ``DRIVER_MAX_BYTES`` finish on the driver:
     one collect, then the band rows, ``_pairs_bucket`` over the whole
     band frame (every bucket at once, so its pairs are already distinct)
-    and the est-Jaccard rule — no shuffle, no second execution.  Above
-    the cap, three bucketed phases, all shuffles light
+    and the est-Jaccard rule — no shuffle, no second execution.  The
+    driver holds no more pairs than the shuffle route's driver verify
+    does: band pairs past NUM_BANDS x SMALL_CANDIDATES_MAX (a large
+    near-dup cluster) take the shuffle route from the signatures, and
+    distinct pairs past SMALL_CANDIDATES_MAX verify by the co-partition
+    joins.  Otherwise, three bucketed phases, all shuffles light
     (``stages/bucketed.py``):
 
     1. signatures, as above;
@@ -299,14 +303,21 @@ def minhash_lsh_pairs(ds, text_col: str = "text", ngram: int = 3,
 
     sigs = minhash_signatures(ds, text_col, ngram).materialize()
     id_dtype = _doc_id_dtype(sigs)
-    small = driver_table(sigs)
+    small = collect_table(sigs, bucketed.DRIVER_MAX_BYTES)
+    cand = None
     # a table without rows may have no columns: the route below handles it
     if small is not None and small.num_rows:
-        cand_df = _pairs_bucket(_bands_batch(small).to_pandas())
-        return _rd.from_pandas(
-            _verify_on_driver(cand_df, small.to_pandas(), threshold, id_dtype)
-        )
-    cand = _candidate_pairs(sigs).materialize()
+        cand_df = _pairs_bucket(_bands_batch(small).to_pandas(),
+                                NUM_BANDS * SMALL_CANDIDATES_MAX)
+        if cand_df is not None and len(cand_df) <= SMALL_CANDIDATES_MAX:
+            return _rd.from_pandas(
+                _verify_on_driver(cand_df, small.to_pandas(), threshold,
+                                  id_dtype)
+            )
+        if cand_df is not None:
+            cand = _rd.from_pandas(cand_df)
+    if cand is None:
+        cand = _candidate_pairs(sigs).materialize()
 
     # size-routed verification (the broadcast-vs-shuffle rule): LSH makes
     # the candidate set small relative to the corpus by construction, so
@@ -821,7 +832,7 @@ def _matrix_jaccard_pairs(rows, threshold: float):
     packed = np.zeros((n, -(-len(vocab) // 8)), dtype=np.uint8)
     np.bitwise_or.at(packed, (r, c >> 3), (128 >> (c & 7)).astype(np.uint8))
     mat = (packed, ids, np.bincount(r, minlength=n))
-    if fits_driver(16 * n * n):
+    if 16 * n * n <= bucketed.DRIVER_MAX_BYTES:
         return _rd.from_pandas(_matrix_span_pairs(mat, 0, n, threshold))
     ref = _ray.put(mat)
     cpus = int(_ray.cluster_resources().get("CPU", 1))

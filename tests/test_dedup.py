@@ -156,34 +156,91 @@ def test_ngram_jaccard_explicit_group_col_parity():
 
 @pytest.mark.usefixtures("ray_session")
 def test_minhash_verification_routes_equivalent(monkeypatch):
-    """All three routes of minhash_lsh_pairs must be plan-invariant: the
-    driver finish (whole signature table collected once), the driver
-    small verification (broadcast semi-join + one vectorized pass) and
-    the scale route (two co-partition signature joins) produce identical
-    frames, dtypes included.  The test corpus fits the driver, so the
-    shuffle routes are forced by zeroing the byte cap, and the scale
-    route by zeroing the candidate cap too."""
+    """Every route of minhash_lsh_pairs must be plan-invariant: the
+    driver finish (whole signature table collected once), driver pairs
+    verified by the co-partition joins (more distinct pairs than
+    SMALL_CANDIDATES_MAX), the shuffle route with the driver small
+    verification (broadcast semi-join + one vectorized pass) and with
+    the co-partition joins, and the shuffle route taken from a signature
+    table under the byte cap whose band pairs pass NUM_BANDS x
+    SMALL_CANDIDATES_MAX (a near-dup clique).  They produce identical
+    frames, dtypes included, on a planted corpus, one row, all-equal
+    texts and an int32 doc_id.  The test corpora fit the driver, so the
+    shuffle routes are forced by zeroing the byte cap, and the joins by
+    lowering the candidate cap."""
     from pdf_ocr_comparison_tool_ray.stages import bucketed, dedup
 
-    df, _ = _corpus(40, 10, seed=9)
-    ds = ray.data.from_pandas(df).repartition(4)
-
-    def pairs() -> pd.DataFrame:
-        return (
-            dedup.minhash_lsh_pairs(ds, threshold=0.5)
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
-        )
-
-    driver = pairs()
-    monkeypatch.setattr(bucketed, "DRIVER_MAX_BYTES", -1)
-    small = pairs()
-    monkeypatch.setattr(dedup, "SMALL_CANDIDATES_MAX", -1)
-    joined = pairs()
-    pd.testing.assert_frame_equal(joined[small.columns], small)
-    pd.testing.assert_frame_equal(driver, small)
-    assert len(small) >= 10  # the planted dups keep the test non-vacuous
+    planted, _ = _corpus(40, 10, seed=9)
+    corpora = {
+        "planted": planted,
+        "one_row": planted.head(1),
+        "clique": pd.DataFrame(
+            {"doc_id": np.arange(12, dtype=np.int64),
+             "text": [planted["text"].iloc[0]] * 12}
+        ),
+        "int32": planted.astype({"doc_id": "int32"}),
+    }
+    cols = ["doc_a", "doc_b", "est_jaccard"]
+    reached = set()
+    for name, df in corpora.items():
+        ds = ray.data.from_pandas(df).repartition(min(4, len(df)))
+        sig = bucketed.collect_table(dedup.minhash_signatures(ds).materialize())
+        bands = dedup._bands_batch(sig).to_pandas()
+        n_pairs = len(dedup._pairs_bucket(bands))
+        # the largest candidate cap that still sends the pairs to the joins
+        over = n_pairs - 1
+        routes = {
+            "driver": {},
+            "small_verify": {"DRIVER_MAX_BYTES": -1},
+            "joined": {"DRIVER_MAX_BYTES": -1, "SMALL_CANDIDATES_MAX": -1},
+            "over_cap": {"SMALL_CANDIDATES_MAX": over},
+        }
+        got = {}
+        for route, caps in routes.items():
+            calls = []
+            with monkeypatch.context() as m:
+                for attr, cap in caps.items():
+                    m.setattr(bucketed if attr == "DRIVER_MAX_BYTES" else dedup,
+                              attr, cap)
+                for fn in ("_candidate_pairs", "_join_pair_column"):
+                    m.setattr(dedup, fn, lambda *a, _f=getattr(dedup, fn),
+                              _n=fn, **k: calls.append(_n) or _f(*a, **k))
+                res = dedup.minhash_lsh_pairs(ds, threshold=0.5)
+                out = res.to_pandas()
+            # Ray Data keeps an empty result's schema, not its columns
+            assert res.schema().names == cols, (name, route)
+            if not len(out.columns):
+                out = pd.DataFrame(
+                    {"doc_a": pd.Series([], dtype=df["doc_id"].dtype),
+                     "doc_b": pd.Series([], dtype=df["doc_id"].dtype),
+                     "est_jaccard": pd.Series([], dtype="float64")}
+                )
+            got[route] = (
+                out[cols].sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+            )
+            shuffled = "_candidate_pairs" in calls
+            joined = "_join_pair_column" in calls
+            if route == "over_cap":
+                # driver pairs unless their band pairs pass the byte-route cap
+                band_cap = dedup._pairs_bucket(bands, dedup.NUM_BANDS * over)
+                route += "/pairs" if band_cap is not None else "/bands"
+                assert shuffled == (band_cap is None), (name, route)
+                assert joined == bool(n_pairs), (name, route)
+            else:
+                assert shuffled == bool(caps), (name, route)
+                assert joined == ("SMALL_CANDIDATES_MAX" in caps and bool(n_pairs)), (
+                    name, route)
+            reached.add(route)
+        for route, frame in got.items():
+            pd.testing.assert_frame_equal(frame, got["driver"], obj=f"{name}/{route}")
+        assert got["driver"]["doc_a"].dtype == df["doc_id"].dtype, name
+        if name in ("planted", "int32"):
+            assert len(got["driver"]) >= 10  # the planted dups keep it non-vacuous
+        if name == "clique":
+            assert len(got["driver"]) == 66  # every pair of 12 equal texts
+    # both over-cap branches ran: driver pairs to the joins (the planted
+    # pairs share a few bands each) and the clique's band pairs past the cap
+    assert {"over_cap/pairs", "over_cap/bands"} <= reached, reached
 
 
 @pytest.mark.usefixtures("ray_session")

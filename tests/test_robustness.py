@@ -558,8 +558,8 @@ def test_driver_finish_routes_agree(tmp_path, monkeypatch):
                     m.setattr(B, "DRIVER_MAX_BYTES", cap)
                     m.setattr(
                         B,
-                        "bucketed_map_groups",
-                        lambda *a, _f=B.bucketed_map_groups, **k: (
+                        "_sort_buckets",
+                        lambda *a, _f=B._sort_buckets, **k: (
                             shuffles.append(a) or _f(*a, **k)
                         ),
                     )
