@@ -17,7 +17,7 @@ from .functions.features import extract_amounts, extract_dates
 from .functions.textnorm import text_hash
 from .functions.tokenize import top_keywords
 from .sources.interleave import derive_spans
-from .stages.match import PageIndex, match_page, _merge_run
+from .stages.match import PageIndex, match_page
 
 
 def enriched_pages(corpus: List[Tuple[str, str]], seed: int = 42) -> List[dict]:
@@ -39,6 +39,23 @@ def enriched_pages(corpus: List[Tuple[str, str]], seed: int = 42) -> List[dict]:
                 }
             )
     return out
+
+
+def _merge_run(run: List[dict]) -> dict:
+    """One consecutive run of match rows -> its merged range row."""
+    first, last = run[0], run[-1]
+    return {
+        "source_doc_id": first["source_doc_id"],
+        "source_start": first["source_offset"],
+        "source_end": last["source_offset"],
+        "doc_type": first["doc_type"],
+        "match_status": first["match_status"],
+        "target_doc_id": first["target_doc_id"],
+        "target_start": first["target_offset"],
+        "target_end": last["target_offset"],
+        "similarity": sum(r["similarity"] for r in run) / len(run),
+        "matched_keywords": sorted({k for r in run for k in r["matched_keywords"]}),
+    }
 
 
 def golden_matches(

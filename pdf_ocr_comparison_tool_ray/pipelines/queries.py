@@ -380,7 +380,7 @@ _LANG_TOPK = 10
 
 
 def q_top_tokens_by_lang(sf_dir: str, k: int = _LANG_TOPK):
-    from ..stages.bucketed import bucketed_map_groups
+    from ..stages.bucketed import map_groups_frame
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
@@ -412,12 +412,15 @@ def q_top_tokens_by_lang(sf_dir: str, k: int = _LANG_TOPK):
         m["occurrences"] = m["occurrences"].astype("int64")
         return m.reset_index(drop=True)
 
-    cand = bucketed_map_groups(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "keyword"],
-        bucket_candidates,
-        n_buckets=32,
-    ).to_pandas()
+    cand = _schema_stable_pairs(  # no token at all: no columns either
+        map_groups_frame(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            ["lang", "keyword"],
+            bucket_candidates,
+            n_buckets=32,
+        ),
+        {"lang": "object", "keyword": "object", "occurrences": "int64"},
+    )
     cand = cand.sort_values(
         ["lang", "occurrences", "keyword"], ascending=[True, False, True]
     )
@@ -2509,13 +2512,13 @@ def _eval_gram_ref(ds, k: int, eval_max_doc_id: int):
         batch_format="pyarrow",
     ).to_pandas()
     eval_grams = set()
-    for text in eval_df["text"]:
+    for text in eval_df.get("text", ()):  # no eval doc: no columns either
         eval_grams.update(_gram_hashes(text, k))
     return ray.put(eval_grams)
 
 
 def q_contamination(sf_dir: str, eval_max_doc_id: int = _EVAL_MAX_DOC_ID):
-    from ..stages.bucketed import bucketed_map_groups
+    from ..stages.bucketed import map_groups_frame
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2552,19 +2555,12 @@ def q_contamination(sf_dir: str, eval_max_doc_id: int = _EVAL_MAX_DOC_ID):
             out[c] = out[c].astype("int64")
         return out
 
-    res = bucketed_map_groups(hits, "doc_id", rollup, n_buckets=32).to_pandas()
-    if not len(res.columns):
-        # a fully-empty Dataset drops its columns through to_pandas —
-        # rebuild the schema-stable empty result (a clean corpus is the
-        # expected steady state for a decontamination check)
-        res = pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "n_shared_grams": pd.Series([], dtype="int64"),
-                "n_distinct_shared": pd.Series([], dtype="int64"),
-            }
-        )
-    return res
+    # no hit at all gives no columns either: a clean corpus is the
+    # expected steady state for a decontamination check
+    return _schema_stable_pairs(
+        map_groups_frame(hits, "doc_id", rollup, n_buckets=32),
+        {"doc_id": "int64", "n_shared_grams": "int64", "n_distinct_shared": "int64"},
+    )
 
 
 SQL_CONTAMINATION = f"""
@@ -3297,8 +3293,9 @@ def q_minhash_lsh_pairs(sf_dir: str):
     from ..stages.dedup import minhash_lsh_pairs
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return minhash_lsh_pairs(
-        ds, ngram=_MINHASH_NGRAM, threshold=_MINHASH_THRESHOLD
+    return _schema_stable_pairs(
+        minhash_lsh_pairs(ds, ngram=_MINHASH_NGRAM, threshold=_MINHASH_THRESHOLD),
+        {"doc_a": "int64", "doc_b": "int64", "est_jaccard": "float64"},
     )
 
 
@@ -3434,10 +3431,12 @@ WHERE l.doc_id IS NULL OR w.winner = CAST(d.doc_id AS VARCHAR)
 
 
 def _schema_stable_pairs(res, spec: dict) -> pd.DataFrame:
-    """Dataset -> DataFrame; a fully-empty pair table produces ZERO
-    blocks through the bucketed dedup shuffle and to_pandas drops its
-    columns — rebuild the declared schema (the no-near-dups corpus is a
-    legitimate steady state, found by the contamination sf0.1 lesson)."""
+    """Dataset or DataFrame -> DataFrame with the declared ``spec``
+    columns when empty: a fully-empty pair table produces ZERO blocks
+    through the bucketed dedup shuffle, to_pandas drops its columns, and
+    so does ``map_groups_frame`` on an input without rows (the
+    no-near-dups corpus is a legitimate steady state, found by the
+    contamination sf0.1 lesson)."""
     df = res.to_pandas() if not isinstance(res, pd.DataFrame) else res
     if not len(df.columns):
         df = pd.DataFrame({c: pd.Series([], dtype=t) for c, t in spec.items()})
@@ -9058,7 +9057,7 @@ def q_jsd_source_drift(sf_dir: str):
     """
     from collections import Counter
 
-    from ..stages.bucketed import bucketed_map_groups
+    from ..stages.bucketed import map_groups_frame
 
     ds = _read(sf_dir, "documents", ["source", "text"])
 
@@ -9088,12 +9087,13 @@ def q_jsd_source_drift(sf_dir: str):
     def src_totals(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("source", as_index=False)["c"].sum()
 
-    ns = (
-        counts.map_batches(src_totals, batch_format="pandas")
-        .to_pandas()  # bounded: blocks x n_sources rows
-        .groupby("source")["c"]
-        .sum()
-    )
+    totals = counts.map_batches(src_totals, batch_format="pandas").to_pandas()
+    if not len(totals):  # no token at all: no source to score
+        return pd.DataFrame(
+            {"source": pd.Series([], dtype="object"),
+             "jsd": pd.Series([], dtype="float64")}
+        )
+    ns = totals.groupby("source")["c"].sum()  # bounded: blocks x n_sources rows
     n_total = float(ns.sum())
     ns_map = ns.astype("float64").to_dict()
 
@@ -9110,9 +9110,9 @@ def q_jsd_source_drift(sf_dir: str):
         out = pd.DataFrame({"source": df["source"], "term": term, "q": q})
         return out.groupby("source", as_index=False).sum()
 
-    parts = bucketed_map_groups(
+    parts = map_groups_frame(
         counts, "tok", bucket_terms, n_buckets=16
-    ).to_pandas()  # bounded: n_buckets x n_sources rows
+    )  # bounded: n_buckets x n_sources rows
     agg = parts.groupby("source", as_index=False).sum()
     jsd = agg["term"].to_numpy() + 0.5 * np.log(2.0) * (
         1.0 - agg["q"].to_numpy()
@@ -9358,6 +9358,7 @@ def q_triangle_count(sf_dir: str):
         bucketed_drop_duplicates,
         bucketed_equi_join,
         bucketed_map_groups,
+        map_groups_frame,
     )
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
@@ -9375,6 +9376,11 @@ def q_triangle_count(sf_dir: str):
     )
     edges = bucketed_drop_duplicates(edges, ["a", "b"]).materialize()
     n_edges = edges.count()
+    if not n_edges:  # no order holds two parts
+        return pd.DataFrame(
+            {"n_edges": pd.Series([0], dtype="int64"),
+             "n_triangles": pd.Series([0], dtype="int64")}
+        )
 
     def deg_partials(df: pd.DataFrame) -> pd.DataFrame:
         nodes = np.concatenate([df["a"].to_numpy(), df["b"].to_numpy()])
@@ -9433,9 +9439,9 @@ def q_triangle_count(sf_dir: str):
             hits = int((keys[pos] == w).sum())
             return pd.DataFrame({"tri": pd.Series([hits], dtype="int64")})
 
-        tri_parts = bucketed_map_groups(
+        tri_parts = map_groups_frame(
             oriented, "src", count_bucket, n_buckets=32
-        ).to_pandas()  # bounded: one row per sorted block
+        )  # bounded: one row per sorted block
         n_tri = int(tri_parts["tri"].sum())
     else:
         # co-partition route: wedges move once, no broadcast

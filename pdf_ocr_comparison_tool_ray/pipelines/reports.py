@@ -1,18 +1,22 @@
-"""Report aggregates (reference A1–A4, A8) as pre-aggregated groupbys.
+"""Report aggregates (reference A1–A4, A8).
 
 Reference: ``content_matcher.py:385-406`` (match summary),
 ``main.py:521-547`` (per-project sheet), ``main.py:645-666`` (keyword
 analysis, top-50), ``main.py:683-707`` (timeline sheet),
 ``main.py:305-306`` (per-doc main-type vote).
 
-Every aggregate pre-reduces inside ``map_batches`` (one row per key per
-batch) before the ``groupby`` so the shuffle moves partials, not rows.
+Every distributed aggregate pre-reduces inside ``map_batches`` (one row
+per key per batch) before its ``groupby`` or bucket shuffle, so the
+shuffle moves partials, not rows.  The match summary and the keyword
+ranking finish an input of at most ``bucketed.DRIVER_MAX_BYTES`` on the
+driver instead (see ``stages/bucketed.py``).
 """
 
 from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Mean, Sum
 
@@ -21,14 +25,29 @@ from ray.data.aggregate import Count, Mean, Sum
 # A1: match-status summary
 # ---------------------------------------------------------------------------
 def match_summary(match_results: ray.data.Dataset) -> pd.DataFrame:
-    """Global counts per status + match_rate (content_matcher.py:385-406)."""
-    counts = (
-        match_results.groupby("match_status")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-    )
-    total = int(counts["n"].sum())
-    by = dict(zip(counts["match_status"], counts["n"]))
+    """Global counts per status + match_rate (content_matcher.py:385-406).
+
+    The results materialize once.  At most ``bucketed.DRIVER_MAX_BYTES``:
+    ``value_counts`` over the collected ``match_status`` column, with no
+    further Ray Data execution; above the cap, a ``groupby``.
+    """
+    from ..stages import bucketed
+
+    match_results = match_results.materialize()
+    small = bucketed.collect_table(match_results, bucketed.DRIVER_MAX_BYTES)
+    if small is None:
+        counts = (
+            match_results.groupby("match_status")
+            .aggregate(Count(alias_name="n"))
+            .to_pandas()
+        )
+        by = dict(zip(counts["match_status"], counts["n"])) if len(counts) else {}
+    elif small.num_rows:
+        vc = pc.value_counts(small["match_status"])
+        by = dict(zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist()))
+    else:
+        by = {}
+    total = int(sum(by.values()))
     exact = int(by.get("exact", 0))
     partial = int(by.get("partial", 0))
     return pd.DataFrame(
@@ -96,9 +115,11 @@ def keyword_analysis(enriched: ray.data.Dataset, top_n: int = 50) -> pd.DataFram
     holds every (keyword, doc) pair of its keywords, so the per-bucket
     dedup + count + local top-N is globally exact and only
     ``n_buckets x top_n`` candidate rows reach the driver (the vocabulary
-    is open-cardinality — never collect the full ranking).
+    is open-cardinality — never collect the full ranking).  Partials of
+    at most ``bucketed.DRIVER_MAX_BYTES`` rank once on the driver
+    (``map_groups_frame``).
     """
-    from ..stages.bucketed import bucketed_map_groups
+    from ..stages.bucketed import map_groups_frame
 
     pairs = enriched.map_batches(_explode_keyword_pairs, batch_format="pyarrow")
 
@@ -115,7 +136,10 @@ def keyword_analysis(enriched: ray.data.Dataset, top_n: int = 50) -> pd.DataFram
             ["occurrences", "keyword"], ascending=[False, True], kind="mergesort"
         ).head(top_n)
 
-    cand = bucketed_map_groups(pairs, "keyword", bucket_rank, n_buckets=32).to_pandas()
+    cand = map_groups_frame(pairs, "keyword", bucket_rank, n_buckets=32)
+    if not len(cand.columns):  # no keyword at all
+        cand = pd.DataFrame({"keyword": pd.Series([], dtype="object")} | {
+            c: pd.Series([], dtype="int64") for c in ("occurrences", "n_docs")})
     return (
         cand.sort_values(["occurrences", "keyword"], ascending=[False, True],
                          kind="mergesort")

@@ -28,11 +28,16 @@ materializes to at most ``DRIVER_MAX_BYTES`` collects its blocks once
 (``collect_table``) and runs the kernel its distributed route runs per
 bucket or per block over the whole table, where one Ray Data execution
 or one sort would cost more than the work (~70 ms and ~60 ms measured
-on 4 CPUs).  ``map_groups_frame`` is that rule for a
-``bucketed_map_groups`` whose result the caller collects anyway
-(``bucketed_topk``, exact dedup); the LSH pairs and the set-similarity
-matrix in ``stages/dedup.py`` apply it too.  Above the cap, each plan
-runs its distributed route over the already-materialized input.
+on 4 CPUs).  ``tag_and_collect`` is that rule for a
+``bucketed_map_groups``: ``map_groups_frame`` applies it when the caller
+collects the result anyway (``bucketed_topk``, exact dedup, the
+heavy-hitter recount, four small-partial rollups in
+``pipelines/queries.py`` and the keyword report), and the compare
+pipeline's run-merge applies it to a Dataset result.  The LSH pairs and
+the set-similarity matrix in ``stages/dedup.py`` and the compare
+``match_summary`` collect their inputs the same way.  Above the cap,
+each plan runs its distributed route over the already-materialized
+input.
 """
 
 from __future__ import annotations
@@ -91,8 +96,8 @@ def bucketed_map_groups(
     bucket_fn receives (pyarrow keeps nested/list columns zero-copy).
     """
     key_list: List[str] = [keys] if isinstance(keys, str) else list(keys)
-    return _sort_buckets(_tag_buckets(ds, key_list, n_buckets), bucket_fn,
-                         batch_format)
+    return sort_buckets(_tag_buckets(ds, key_list, n_buckets), bucket_fn,
+                        batch_format)
 
 
 def _tag_buckets(ds: ray.data.Dataset, key_list: List[str],
@@ -113,9 +118,10 @@ def _tag_buckets(ds: ray.data.Dataset, key_list: List[str],
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def _sort_buckets(tagged: ray.data.Dataset, bucket_fn, batch_format: str):
+def sort_buckets(tagged: ray.data.Dataset, bucket_fn, batch_format: str):
     """The sort shuffle and per-block ``bucket_fn`` calls of
-    ``bucketed_map_groups`` over a ``_tag_buckets`` output."""
+    ``bucketed_map_groups`` over a ``_tag_buckets`` or
+    ``tag_and_collect`` output."""
     if batch_format == "pandas":
         def run(block: pd.DataFrame):
             if len(block):
@@ -148,6 +154,29 @@ def collect_table(ds: ray.data.Dataset,
     return pa.concat_tables(tables, promote_options="default")
 
 
+def tag_and_collect(
+    ds: ray.data.Dataset,
+    keys: Union[str, Sequence[str]],
+    n_buckets: int,
+) -> tuple[ray.data.Dataset, pa.Table | None]:
+    """``(tagged, small)``: ``ds`` with the ``BUCKET_COL`` of
+    ``bucketed_map_groups``, materialized once, and its whole table
+    without that column when it is at most ``DRIVER_MAX_BYTES`` (None
+    above the cap).
+
+    A caller runs its bucket kernel once over ``small``, which is exact
+    because the whole table is every bucket, or ``sort_buckets`` over
+    ``tagged``: those are the blocks the sort would hold anyway (a sort
+    buffers all its input), so no extra copy stays in the object store.
+    """
+    key_list = [keys] if isinstance(keys, str) else list(keys)
+    tagged = _tag_buckets(ds, key_list, n_buckets).materialize()
+    small = collect_table(tagged, DRIVER_MAX_BYTES)
+    if small is not None and small.num_columns:
+        small = small.drop_columns([BUCKET_COL])
+    return tagged, small
+
+
 def map_groups_frame(
     ds: ray.data.Dataset,
     keys: Union[str, Sequence[str]],
@@ -155,26 +184,18 @@ def map_groups_frame(
     n_buckets: int = 64,
 ) -> pd.DataFrame:
     """``bucketed_map_groups(ds, keys, bucket_fn).to_pandas()`` that
-    finishes a small input on the driver.
-
-    ``ds``, bucket-tagged, materializes once.  At most
-    ``DRIVER_MAX_BYTES``: one ``bucket_fn`` call over the whole table,
-    which is exact because ``bucket_fn`` accepts one or more whole
-    buckets and the whole table is every bucket — no shuffle, no second
-    execution.  Above the cap: the sort over the materialized blocks,
-    which are the blocks it would hold anyway (a sort buffers all its
-    input), so no extra copy stays in the object store.  On both routes
-    an input without rows returns a frame without columns (``bucket_fn``
-    never sees an empty frame).
+    finishes a small input on the driver (``tag_and_collect``): one
+    ``bucket_fn`` call over the whole table, with no shuffle and no
+    second execution; above the cap, the sort.  On both routes an input
+    without rows returns a frame without columns (``bucket_fn`` never
+    sees an empty frame).
     """
-    key_list = [keys] if isinstance(keys, str) else list(keys)
-    tagged = _tag_buckets(ds, key_list, n_buckets).materialize()
-    small = collect_table(tagged, DRIVER_MAX_BYTES)
+    tagged, small = tag_and_collect(ds, keys, n_buckets)
     if small is None:
-        return _sort_buckets(tagged, bucket_fn, "pandas").to_pandas()
+        return sort_buckets(tagged, bucket_fn, "pandas").to_pandas()
     if not small.num_rows:
         return pd.DataFrame()
-    return bucket_fn(small.drop_columns([BUCKET_COL]).to_pandas())
+    return bucket_fn(small.to_pandas())
 
 
 def bucketed_drop_duplicates(

@@ -302,11 +302,14 @@ def minhash_lsh_pairs(ds, text_col: str = "text", ngram: int = 3,
     import ray.data as _rd
 
     sigs = minhash_signatures(ds, text_col, ngram).materialize()
+    if not sigs.count():  # block metadata; such signatures carry no schema
+        return _rd.from_pandas(
+            _est_jaccard_pairs([], [], [], [], threshold, _doc_id_dtype(ds))
+        )
     id_dtype = _doc_id_dtype(sigs)
     small = collect_table(sigs, bucketed.DRIVER_MAX_BYTES)
     cand = None
-    # a table without rows may have no columns: the route below handles it
-    if small is not None and small.num_rows:
+    if small is not None:
         cand_df = _pairs_bucket(_bands_batch(small).to_pandas(),
                                 NUM_BANDS * SMALL_CANDIDATES_MAX)
         if cand_df is not None and len(cand_df) <= SMALL_CANDIDATES_MAX:

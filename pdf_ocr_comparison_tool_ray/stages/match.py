@@ -21,9 +21,9 @@ Reference semantics (preserved exactly, with nondeterminism removed):
 Topology: the build side is materialized into a compact index and
 broadcast once via ``ray.put`` (the reference's in-memory
 ``PageFeatureIndex`` is small by design); probe tasks fetch it once per
-worker process (``match_batch_ref``).  For a large build side the same probe logic
-runs after a ``groupby(text_hash)`` co-shuffle — see
-``pipelines/compare.py`` notes.
+worker process (``match_batch_ref``).  For a large build side the same
+``match_page`` runs per bucket of a hash co-partition on the text-hash,
+date and amount keys — see ``stages/match_shuffle.py``.
 """
 
 from __future__ import annotations
@@ -213,12 +213,36 @@ def match_batch_ref(batch: pa.Table, index_ref=None, cfg: Optional[dict] = None)
     return match_batch(batch, broadcast_get(index_ref), cfg)
 
 
+MERGED_SCHEMA = pa.schema(
+    [
+        ("source_doc_id", pa.string()),
+        ("source_start", pa.int64()),
+        ("source_end", pa.int64()),
+        ("doc_type", pa.string()),
+        ("match_status", pa.string()),
+        ("target_doc_id", pa.string()),
+        ("target_start", pa.int64()),
+        ("target_end", pa.int64()),
+        ("similarity", pa.float64()),
+        ("matched_keywords", pa.list_(pa.string())),
+    ]
+)
+
+
 def merge_match_group(group: pa.Table) -> pa.Table:
-    """J6 ordered run-merge — handles one or MANY source documents per
-    table (rows sort by (source_doc_id, source_offset); a doc change
-    always breaks the run), so it serves both the per-group form and the
-    bucket-wise co-partition (one Python call per sorted block of hash
-    buckets, not per document)."""
+    """J6 ordered run-merge -> ``MERGED_SCHEMA`` rows.  Handles one or
+    MANY source documents per table (rows sort by (source_doc_id,
+    source_offset); a doc change always breaks the run), so it serves
+    the whole-table driver route and the bucket-wise co-partition (one
+    call per sorted block of hash buckets).  ``group`` holds at least
+    one row.
+
+    Vectorized: a shifted-column compare marks run starts; each run
+    takes its first row's keys, its last row's offsets, its similarity
+    mean (summed left to right, as a Python ``sum`` would) and the
+    sorted union of its keywords.
+    """
+    import numpy as np
     import pyarrow.compute as pc
 
     g = group.take(
@@ -226,52 +250,73 @@ def merge_match_group(group: pa.Table) -> pa.Table:
             group,
             sort_keys=[("source_doc_id", "ascending"), ("source_offset", "ascending")],
         )
-    )
-    rows = g.to_pylist()
-    merged: List[dict] = []
-    cur: List[dict] = [rows[0]]
-    for prev, curr in zip(rows, rows[1:]):
-        can_merge = (
-            prev["source_doc_id"] == curr["source_doc_id"]
-            and prev["target_doc_id"] == curr["target_doc_id"]
-            and prev["match_status"] == curr["match_status"]
-            and prev["target_doc_id"] != ""
-            and curr["target_offset"] == prev["target_offset"] + 1
+    ).combine_chunks()
+    n = g.num_rows
+
+    def same_as_prev(name: str) -> np.ndarray:
+        col = g[name]
+        return pc.equal(col.slice(1), col.slice(0, n - 1)).to_numpy(
+            zero_copy_only=False
         )
-        if can_merge:
-            cur.append(curr)
-        else:
-            merged.append(_merge_run(cur))
-            cur = [curr]
-    merged.append(_merge_run(cur))
-    cols = {
-        "source_doc_id": [m["source_doc_id"] for m in merged],
-        "source_start": [m["source_start"] for m in merged],
-        "source_end": [m["source_end"] for m in merged],
-        "doc_type": [m["doc_type"] for m in merged],
-        "match_status": [m["match_status"] for m in merged],
-        "target_doc_id": [m["target_doc_id"] for m in merged],
-        "target_start": [m["target_start"] for m in merged],
-        "target_end": [m["target_end"] for m in merged],
-        "similarity": [m["similarity"] for m in merged],
-        "matched_keywords": [m["matched_keywords"] for m in merged],
-    }
-    return pa.Table.from_pydict(cols)
 
+    t_off = g["target_offset"].to_numpy().astype(np.int64)
+    joins = (
+        same_as_prev("source_doc_id")
+        & same_as_prev("target_doc_id")
+        & same_as_prev("match_status")
+        & pc.not_equal(g["target_doc_id"].slice(0, n - 1), "").to_numpy(
+            zero_copy_only=False
+        )
+        & (t_off[1:] == t_off[:-1] + 1)
+    )
+    starts = np.concatenate([[True], ~joins])
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], n) - 1
+    lens = last - first + 1
 
-def _merge_run(run: List[dict]) -> dict:
-    first, last = run[0], run[-1]
-    avg_sim = sum(r["similarity"] for r in run) / len(run)
-    keywords = sorted({k for r in run for k in r["matched_keywords"]})
-    return {
-        "source_doc_id": first["source_doc_id"],
-        "source_start": first["source_offset"],
-        "source_end": last["source_offset"],
-        "doc_type": first["doc_type"],
-        "match_status": first["match_status"],
-        "target_doc_id": first["target_doc_id"],
-        "target_start": first["target_offset"],
-        "target_end": last["target_offset"],
-        "similarity": avg_sim,
-        "matched_keywords": keywords,
-    }
+    # similarity sums, one position of every still-open run per step
+    sim = g["similarity"].to_numpy()
+    by_len = np.argsort(-lens, kind="stable")
+    sums = sim[first[by_len]]
+    neg_sorted = -lens[by_len]
+    for k in range(1, int(lens.max())):
+        live = np.searchsorted(neg_sorted, -k, side="left")  # runs longer than k
+        sums[:live] += sim[first[by_len[:live]] + k]
+    mean = np.empty(len(first))
+    mean[by_len] = sums / lens[by_len]
+
+    # keyword union per run: distinct (run, keyword) pairs, sorted
+    kw = g["matched_keywords"].cast(pa.list_(pa.string())).combine_chunks()
+    run_of_row = np.cumsum(starts) - 1
+    pairs = (
+        pa.table(
+            {
+                "run": run_of_row[pc.list_parent_indices(kw).to_numpy()],
+                "kw": pc.list_flatten(kw),
+            }
+        )
+        .group_by(["run", "kw"])
+        .aggregate([])
+        .sort_by([("run", "ascending"), ("kw", "ascending")])
+    )
+    per_run = np.bincount(pairs["run"].to_numpy(), minlength=len(first))
+    offsets = pa.array(np.concatenate([[0], np.cumsum(per_run)]), type=pa.int32())
+    keywords = pa.ListArray.from_arrays(offsets, pairs["kw"].combine_chunks())
+
+    firsts = g.take(first)
+    lasts = g.take(last)
+    return pa.Table.from_arrays(
+        [
+            firsts["source_doc_id"],
+            firsts["source_offset"],
+            lasts["source_offset"],
+            firsts["doc_type"],
+            firsts["match_status"],
+            firsts["target_doc_id"],
+            firsts["target_offset"],
+            lasts["target_offset"],
+            pa.array(mean, type=pa.float64()),
+            keywords,
+        ],
+        names=MERGED_SCHEMA.names,
+    ).cast(MERGED_SCHEMA)

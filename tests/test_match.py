@@ -362,3 +362,119 @@ def test_compare_auto_routes_by_build_size():
         assert len(got) == len(base)
         assert got["match_status"].tolist() == base["match_status"].tolist()
         assert (got["similarity"] - base["similarity"]).abs().max() < 1e-12
+
+
+def _both_routes(monkeypatch, run):
+    """``run()`` (a Dataset) collected under the default driver cap, then
+    with ``bucketed.DRIVER_MAX_BYTES = -1``; -> [(schema, frame, n_sorts)]
+    for the two legs, rows in (source_doc_id, source_start) order,
+    keyword arrays as lists.  An empty Dataset keeps its columns only in
+    ``schema()``: ``to_pandas()`` drops them."""
+    from pdf_ocr_comparison_tool_ray.stages import bucketed as B
+
+    legs = []
+    for cap in (B.DRIVER_MAX_BYTES, -1):
+        sorts = []
+        with monkeypatch.context() as m:
+            m.setattr(B, "DRIVER_MAX_BYTES", cap)
+            m.setattr(
+                B,
+                "sort_buckets",
+                lambda *a, _f=B.sort_buckets, **k: sorts.append(a) or _f(*a, **k),
+            )
+            ds = run()
+            schema, df = ds.schema().base_schema, ds.to_pandas()
+        if len(df):
+            df = df.sort_values(["source_doc_id", "source_start"]).reset_index(drop=True)
+            df["matched_keywords"] = df["matched_keywords"].map(list)
+        legs.append((schema, df, len(sorts)))
+    return legs
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merge_matches_routes_agree(monkeypatch):
+    """merge_matches finishes results of at most DRIVER_MAX_BYTES on the
+    driver and sorts larger ones.  One kernel serves both routes, so they
+    give equal frames and dtypes: on the compare corpus, an empty probe
+    side, one probe span, and runs spanning several source docs in
+    several hash buckets; the sort runs only on the forced leg, and an
+    empty result is a Dataset typed with MERGED_SCHEMA on both."""
+    from pdf_ocr_comparison_tool_ray.pipelines.compare import merge_matches
+    from pdf_ocr_comparison_tool_ray.stages.bucketed import collect_table
+    from pdf_ocr_comparison_tool_ray.stages.match import MERGED_SCHEMA, _RESULT_SCHEMA
+
+    ref_docs = make_corpus(12, seed=100, skew_docs=0)
+    probe_ex = _extracted(_probe_corpus(ref_docs)).materialize()
+    ref_ex = _extracted(ref_docs).materialize()
+    probe_table = collect_table(probe_ex)
+
+    # 30 source docs x 6 consecutive pages, runs broken every 4th page
+    rows = [
+        {
+            "source_doc_id": f"s{d:02d}",
+            "source_offset": o,
+            "doc_type": "t",
+            "match_status": "exact" if o % 4 else "partial",
+            "target_doc_id": f"r{d % 3}",
+            "target_offset": 10 * d + o,
+            "similarity": 1.0 / (1 + o),
+            "matched_keywords": [f"k{o % 3}", "common"],
+        }
+        for d in range(30)
+        for o in range(6)
+    ]
+    results = pa.Table.from_pylist(rows, schema=_RESULT_SCHEMA)
+    cases = {
+        "corpus": lambda: run_compare(probe_ex, ref_ex),
+        "empty_probe": lambda: run_compare(
+            ray.data.from_arrow(probe_table.slice(0, 0)), ref_ex
+        ),
+        "one_span": lambda: run_compare(
+            ray.data.from_arrow(probe_table.slice(0, 1)), ref_ex
+        ),
+        "many_docs": lambda: merge_matches(
+            ray.data.from_arrow([results.slice(i, 45) for i in range(0, 180, 45)])
+        ),
+    }
+    for name, run in cases.items():
+        (s_driver, driver, n_driver), (s_forced, forced, n_forced) = _both_routes(
+            monkeypatch, run
+        )
+        assert n_driver == 0, name
+        assert n_forced == (0 if name == "empty_probe" else 1), name
+        assert s_driver == s_forced == MERGED_SCHEMA, name
+        pd.testing.assert_frame_equal(driver, forced, obj=name)
+        assert len(driver) == {"empty_probe": 0, "one_span": 1}.get(name, len(driver))
+        if len(driver):
+            assert list(driver.columns) == MERGED_SCHEMA.names, name
+    many = driver
+    assert many["source_doc_id"].nunique() == 30
+    # pages 1-3 of each doc merge into one exact run; 0, 4, 5 stand alone
+    assert len(many) == 30 * 4
+    run = many[many["source_start"] == 1].iloc[0]
+    assert (run["source_end"], run["target_end"] - run["target_start"]) == (3, 2)
+    assert run["similarity"] == (1 / 2 + 1 / 3 + 1 / 4) / 3
+    assert run["matched_keywords"] == ["common", "k0", "k1", "k2"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_probe_chain_runs_one_task_per_block():
+    """enrich_spans and match_spans map one batch per block: an 8-block
+    probe side keeps at least 4 output blocks, so a fixed batch size
+    cannot quietly bundle the probe chain into one task again."""
+    from pdf_ocr_comparison_tool_ray.pipelines.compare import (
+        build_index,
+        enrich_spans,
+        match_spans,
+    )
+    from pdf_ocr_comparison_tool_ray.stages.bucketed import collect_table
+
+    ref_docs = make_corpus(12, seed=100, skew_docs=0)
+    ref_ex = _extracted(ref_docs).materialize()
+    table = collect_table(_extracted(_probe_corpus(ref_docs)).materialize())
+    step = -(-table.num_rows // 8)
+    probe = ray.data.from_arrow([table.slice(i, step) for i in range(0, table.num_rows, step)])
+    assert probe.num_blocks() == 8
+    out = match_spans(enrich_spans(probe), build_index(enrich_spans(ref_ex))).materialize()
+    assert out.num_blocks() >= 4
+    assert out.count() == table.num_rows

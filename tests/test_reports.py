@@ -146,3 +146,47 @@ def test_write_report_csv_artifact(tmp_path):
     assert ka.iloc[0]["keyword"] == "alpha" and int(ka.iloc[0]["n_docs"]) == 3
     tl = pd.read_csv(paths["timeline"])
     assert tl.loc[tl["date"] == "2024-01-02", "n_docs"].iloc[0] == 2
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_match_summary_and_keyword_routes_agree(monkeypatch):
+    """match_summary and keyword_analysis finish an input of at most
+    DRIVER_MAX_BYTES on the driver and shuffle a larger one (groupby,
+    bucket sort).  Forced both ways they give equal frames and dtypes on
+    the test rows, one row and no rows; the shuffle runs only on the
+    forced leg."""
+    from pdf_ocr_comparison_tool_ray.stages import bucketed as B
+
+    match_df = _match_results_df()
+    kw_df = _enriched_df()
+    cases = {
+        "rows": (match_df, kw_df),
+        "one_row": (match_df.head(1), kw_df.head(1)),
+        "empty": (match_df.head(0), kw_df.head(0)),
+    }
+    ops = {
+        "match_summary": (match_summary, ray.data.Dataset, "groupby", 0),
+        "keyword_analysis": (keyword_analysis, B, "sort_buckets", 1),
+    }
+    for name, frames in cases.items():
+        for (op, (fn, owner, attr, which)) in ops.items():
+            got = []
+            for cap in (B.DRIVER_MAX_BYTES, -1):
+                calls = []
+                with monkeypatch.context() as m:
+                    m.setattr(B, "DRIVER_MAX_BYTES", cap)
+                    m.setattr(
+                        owner,
+                        attr,
+                        lambda *a, _f=getattr(owner, attr), **k: (
+                            calls.append(a) or _f(*a, **k)
+                        ),
+                    )
+                    got.append(fn(ray.data.from_pandas(frames[which])))
+                assert bool(calls) == (cap < 0), (name, op, cap)
+            pd.testing.assert_frame_equal(got[0], got[1], obj=f"{name}/{op}")
+            if op == "keyword_analysis":
+                assert list(got[0].columns) == ["keyword", "occurrences", "n_docs"]
+                assert len(got[0]) == {"rows": 3, "one_row": 2, "empty": 0}[name]
+            else:
+                assert int(got[0]["total"].iloc[0]) == len(frames[0])

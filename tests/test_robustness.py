@@ -513,12 +513,16 @@ def test_size_routed_join_routes_agree(monkeypatch):
 
 @pytest.mark.usefixtures("ray_session")
 def test_driver_finish_routes_agree(tmp_path, monkeypatch):
-    """bucketed_topk (through keyword_topk and heavy_hitters) and
-    exact_dedup finish an input of at most DRIVER_MAX_BYTES on the
-    driver and shuffle a larger one.  Both routes run one kernel, so
-    they return equal frames and dtypes on an empty table, one row,
-    all-equal texts and an int32 doc_id, and an empty table keeps
-    each op's declared columns."""
+    """Ops that finish an input of at most DRIVER_MAX_BYTES on the
+    driver and shuffle a larger one: bucketed_topk (through keyword_topk
+    and heavy_hitters), exact_dedup, the map_groups_frame rollups
+    (top_tokens_by_lang, contamination, jsd_source_drift, the triangle
+    count) and minhash_lsh_pairs.  Both routes run one kernel, so they
+    return equal frames and dtypes on an empty table, one row, all-equal
+    texts, an int32 doc_id and texts sharing 8-grams, and an empty
+    result keeps each op's declared columns.  The finishing kernel is
+    sorted only on the forced leg (the triangle count sorts its edge
+    build on both)."""
     import pyarrow.parquet as pq
 
     from pdf_ocr_comparison_tool_ray.pipelines import queries as Q
@@ -532,45 +536,107 @@ def test_driver_finish_routes_agree(tmp_path, monkeypatch):
             [f"w{i % 5} common x{i % 3} common tail{i}" for i in range(40)],
             pa.int32(),
         ),
+        "shared": (
+            [f"alpha beta gamma delta epsilon zeta eta theta t{i % 3} iota kappa"
+             for i in range(12)],
+            pa.int64(),
+        ),
     }
+    # op -> (query, declared columns, the kernel its driver route runs)
     ops = {
-        "keyword_topk": (Q.q_keyword_topk, ["keyword", "occurrences"]),
-        "heavy_hitters": (Q.q_heavy_hitters, ["tok", "cnt"]),
-        "exact_dedup": (Q.q_exact_dedup, ["content_key", "doc_id", "dup_count"]),
+        "keyword_topk": (Q.q_keyword_topk, ["keyword", "occurrences"], "bucket_top"),
+        "heavy_hitters": (Q.q_heavy_hitters, ["tok", "cnt"], "bucket_top"),
+        "exact_dedup": (
+            Q.q_exact_dedup, ["content_key", "doc_id", "dup_count"], "merge_bucket"
+        ),
+        "top_tokens_by_lang": (
+            Q.q_top_tokens_by_lang,
+            ["lang", "keyword", "occurrences", "rk"],
+            "bucket_candidates",
+        ),
+        "contamination": (
+            lambda p: Q.q_contamination(p, eval_max_doc_id=3),
+            ["doc_id", "n_shared_grams", "n_distinct_shared"],
+            "rollup",
+        ),
+        "jsd_source_drift": (Q.q_jsd_source_drift, ["source", "jsd"], "bucket_terms"),
+        "triangle_count": (
+            Q.q_triangle_count, ["n_edges", "n_triangles"], "count_bucket"
+        ),
+        "minhash_lsh_pairs": (
+            Q.q_minhash_lsh_pairs, ["doc_a", "doc_b", "est_jaccard"], "_pairs_bucket"
+        ),
+    }
+    # ops that return before their finishing step: no token, no order
+    # holding two parts, no signature
+    returns_early = {
+        "empty": {"jsd_source_drift", "triangle_count", "minhash_lsh_pairs"},
+        "one_row": {"triangle_count"},
+    }
+    # results without rows: every op but the triangle count on no
+    # documents, contamination without a shared 8-gram, LSH pairs of one
+    # document
+    no_rows = {
+        "empty": set(ops) - {"triangle_count"},
+        "one_row": {"contamination", "minhash_lsh_pairs"},
+        "all_equal": {"contamination"},
+        "int32": {"contamination"},
     }
     for name, (texts, id_type) in corpora.items():
         d = tmp_path / name
         d.mkdir()
+        n = len(texts)
         pq.write_table(
             pa.table(
                 {
-                    "doc_id": pa.array(range(1, len(texts) + 1), type=id_type),
+                    "doc_id": pa.array(range(1, n + 1), type=id_type),
                     "text": pa.array(texts, type=pa.string()),
+                    "lang": pa.array([("en", "de")[i % 2] for i in range(n)],
+                                     type=pa.string()),
+                    "source": pa.array([f"s{i % 3}" for i in range(n)],
+                                       type=pa.string()),
                 }
             ),
             d / "documents.parquet",
         )
-        for op, (fn, cols) in ops.items():
-            got = []
+        # orders of 3 parts out of 5: a graph with triangles once n >= 3
+        pq.write_table(
+            pa.table(
+                {
+                    "l_orderkey": pa.array([i // 3 for i in range(n)], type=id_type),
+                    "l_partkey": pa.array([i % 5 for i in range(n)], type=id_type),
+                }
+            ),
+            d / "lineitem.parquet",
+        )
+        for op, (fn, cols, kernel) in ops.items():
+            got, sorted_fns = [], []
             for cap in (B.DRIVER_MAX_BYTES, -1):  # driver, then shuffle
                 shuffles = []
                 with monkeypatch.context() as m:
                     m.setattr(B, "DRIVER_MAX_BYTES", cap)
                     m.setattr(
                         B,
-                        "_sort_buckets",
-                        lambda *a, _f=B._sort_buckets, **k: (
+                        "sort_buckets",
+                        lambda *a, _f=B.sort_buckets, **k: (
                             shuffles.append(a) or _f(*a, **k)
                         ),
                     )
                     df = fn(str(d))
-                assert bool(shuffles) == (cap < 0), (name, op, cap)
+                sorted_fns.append([getattr(a[1], "__name__", "") for a in shuffles])
                 assert list(df.columns) == cols, (name, op, cap)
                 got.append(df.sort_values(cols).reset_index(drop=True))
+            assert kernel not in sorted_fns[0], (name, op)
+            # the triangle count sorts its edge build on both legs
+            assert sorted_fns[0] == (
+                ["order_pairs", "drop"] if op == "triangle_count" else []
+            ), (name, op)
             pd.testing.assert_frame_equal(got[0], got[1], obj=f"{name}/{op}")
-            assert len(got[0]) or name == "empty", (name, op)
             if op == "exact_dedup":
                 assert got[0]["doc_id"].dtype == id_type.to_pandas_dtype()
+            early = op in returns_early.get(name, ())
+            assert (kernel in sorted_fns[1]) != early, (name, op, sorted_fns)
+            assert bool(len(got[0])) != (op in no_rows.get(name, ())), (name, op)
 
 
 @pytest.mark.usefixtures("ray_session")
