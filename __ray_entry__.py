@@ -21,10 +21,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 def entry() -> Any:
     """Flagship pipeline: interleave sf0.001 documents -> extract -> reassemble."""
     from pdf_ocr_comparison_tool_ray.pipelines.extraction import (
-        run_extraction_from_flat,
+        interleave,
+        read_flat_documents,
+        run_extraction,
     )
 
-    return run_extraction_from_flat("/root/testdata/sf0.001/documents.parquet")
+    return run_extraction(
+        interleave(read_flat_documents("/root/testdata/sf0.001/documents.parquet"))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -591,10 +591,6 @@ def skew() -> None:
     corpus = pd.concat([base, pd.DataFrame(giants)], ignore_index=True)
     flat = ray.data.from_pandas(corpus).repartition(NUM_CPUS * 2)
 
-    from pdf_ocr_comparison_tool_ray.pipelines.extraction import (
-        run_extraction_skew_aware,
-    )
-
     def run(num_output_blocks):
         t0 = time.perf_counter()
         out = run_extraction(
@@ -605,16 +601,9 @@ def skew() -> None:
         n = out.count()
         return round(time.perf_counter() - t0, 3), n
 
-    def run_aware():
-        t0 = time.perf_counter()
-        out = run_extraction_skew_aware(interleave(flat))
-        n = out.count()
-        return round(time.perf_counter() - t0, 3), n
-
     sec_no, n1 = run(None)          # straggler: giants serialize on one task
     sec_global, n2 = run(NUM_CPUS * 4)  # global repartition: all spans shuffle
-    sec_aware, n3 = run_aware()     # only the giants' spans shuffle
-    assert n1 == n2 == n3
+    assert n1 == n2
     print(
         json.dumps(
             {
@@ -622,8 +611,7 @@ def skew() -> None:
                 "n_spans": n1,
                 "sec_no_mitigation": sec_no,
                 "sec_global_repartition": sec_global,
-                "sec_skew_aware_split": sec_aware,
-                "speedup_aware_vs_none": round(sec_no / sec_aware, 3),
+                "speedup_global_vs_none": round(sec_no / sec_global, 3),
                 "num_cpus": NUM_CPUS,
                 "sf": SF_DIR,
             }

@@ -84,13 +84,6 @@ EXTRACTION = {
     "levenshtein_truncate": 1000,
 }
 
-# Stage sizing defaults (tuned for 32-CPU local; scale-out safe because they
-# are per-stage knobs, not global state).
-STAGE = {
-    "batch_size": 1024,          # rows per batch for text stages
-    "ocr_batch_size": 256,       # scan spans per OCR batch
-}
-
 # Language-ID stopword sets (tiny, deterministic; heuristic n-gram/stopword
 # language identification for the text-analysis suite).
 LANG_STOPWORDS = {
@@ -127,7 +120,7 @@ def classify_tier(num_cpus: int, mem_gb: float) -> str:
 
 
 def auto_stage_config(num_cpus: int | None = None, mem_gb: float | None = None) -> dict:
-    """-> STAGE-shaped knobs tuned to the detected (or given) resources.
+    """-> stage knobs tuned to the detected (or given) resources.
 
     Detection reads ``ray.cluster_resources()`` when available (the
     torch.cuda.get_device_properties analog); explicit args override for

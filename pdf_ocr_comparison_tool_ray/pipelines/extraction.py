@@ -1,31 +1,37 @@
 """Flagship pipeline: interleaved documents -> ordered extracted spans.
 
-    read (parquet/lance) -> derive/validate interleaved spans
-      -> explode (zero-copy Arrow)
-      -> [optional repartition to defuse media-heavy skew]
-      -> extract_batch task map (hybrid routing)
-      -> groupby(doc_id) ordered reassembly shuffle
-      -> Dataset of OUTPUT_SCHEMA rows (stream to write_parquet or iterate)
+One plan, ``run_extraction``, with two routes:
+
+    default:  documents -> [explode -> extract (+ rerun) -> sort + dense seq]
+              (one task map; a batch holds whole documents)
+    skew:     documents -> explode -> repartition(num_output_blocks)
+              -> extract (+ rerun) -> groupby(doc_id) ordered reassembly shuffle
+
+Either way the output is a Dataset of OUTPUT_SCHEMA rows (stream to
+write_parquet or iterate).
 
 Mirrors the reference lifecycle ``run_ocr.py:115-308`` (rasterize ->
 OCR -> features -> per-file collection) with the driver-side per-page
 loops replaced by Dataset stages; the driver holds no per-page state.
-Every stage is a plain task map (no actor pool), so derive, explode,
-extract and the doc-local reassembly fuse into one task operator and no
-stage holds a CPU the read task needs; per-process extractor state is
-cached in ``stages/extract.py``.
+On the default route a document is one input row, so its spans never
+leave the batch that exploded them and reassembly is local for any
+``batch_size`` and any block split.  Every stage is a plain task map (no
+actor pool), so the read, derive and per-document map fuse into one
+task operator and no stage holds a CPU the read task needs; per-process
+extractor state is cached in ``stages/extract.py``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-from ..config import STAGE
 from ..sources.interleave import derive_documents_batch
 from ..stages.explode import explode_spans
-from ..stages.extract import extract_batch
+from ..stages.extract import extract_batch, rerun_batch
 from ..stages.reassemble import reassemble_batch_local
 
 
@@ -112,205 +118,65 @@ def read_interleaved(path: str) -> ray.data.Dataset:
         return ray.data.read_parquet(path)
 
 
+def _extract_and_rerun(
+    spans: pa.Table,
+    agreement_threshold: Optional[float],
+    preprocess: bool,
+    rerun_threshold: Optional[float],
+) -> pa.Table:
+    """The span kernel both routes map: first-pass extraction, then, when
+    ``rerun_threshold`` is set, the doubtful scan spans (score below it)
+    through the second engine (``hybrid_ocr_engine.py:152-182``: Paddle
+    first, low page confidence -> DeepSeek rerun, better answer wins).
+    Confident spans never touch the second engine."""
+    out = extract_batch(spans, agreement_threshold, preprocess)
+    if rerun_threshold is None:
+        return out
+    doubtful = pc.and_(
+        pc.equal(out["kind"], "scan"), pc.less(out["score"], rerun_threshold)
+    )
+    return pa.concat_tables(
+        [out.filter(pc.invert(doubtful)), rerun_batch(out.filter(doubtful))]
+    )
+
+
+def _extract_documents(docs: pa.Table, **kernel_kwargs) -> pa.Table:
+    """Whole documents -> their ordered output rows, in one batch."""
+    return reassemble_batch_local(
+        _extract_and_rerun(explode_spans(docs), **kernel_kwargs)
+    )
+
+
 def extract_spans(
     docs: ray.data.Dataset,
     *,
-    batch_size="auto",
+    batch_size: Optional[int] = None,
     num_output_blocks: Optional[int] = None,
     agreement_threshold: Optional[float] = None,
     preprocess: bool = False,
+    rerun_threshold: Optional[float] = None,
 ) -> ray.data.Dataset:
     """Interleaved documents -> extracted (unordered) span rows.
 
-    ``preprocess=True`` runs the M2/M3 image chain (grayscale -> denoise
-    -> contrast -> deskew, warmed once per worker process) on each scan
-    span's page image ahead of recognition — the reference's
-    off-by-default ``ocr_engine.py:75-115`` preprocessing
-    (``config.yaml:131-134``).
-
-    ``agreement_threshold`` overrides the native-vs-OCR route choice for
-    pdf spans (None -> config default).  A value > 1 forces the OCR
-    route everywhere — the single-engine "deepseek_only" analog of the
-    reference's mode switch (``hybrid_ocr_engine.py:250-264``), and the
-    mode whose output is an exact media round-trip (used by the
-    ``extraction_pipeline`` driver oracle)."""
+    ``num_output_blocks`` spreads the exploded spans over that many blocks
+    (plain repartition: splits blocks without a full shuffle), so a
+    media-heavy document no longer serializes on one task.  A document's
+    spans may then sit in several blocks: reassemble with ``reassemble``.
+    ``batch_size=None`` is batch == block.  Other options as in
+    ``run_extraction``."""
     spans = docs.map_batches(explode_spans, batch_format="pyarrow")
     if num_output_blocks:
-        # spread media-heavy documents' spans across tasks (skew defusal);
-        # plain repartition splits blocks without a full shuffle
         spans = spans.repartition(num_output_blocks)
-    # batch_size semantics: "auto" -> STAGE default (fixed batches, what a
-    # GPU OCR engine wants); None -> batch == block, so task granularity is
-    # the block count chosen at the read and bundling never caps parallelism.
     return spans.map_batches(
-        extract_batch,
+        _extract_and_rerun,
         batch_format="pyarrow",
-        batch_size=STAGE["ocr_batch_size"] if batch_size == "auto" else batch_size,
+        batch_size=batch_size,
         fn_kwargs={
             "agreement_threshold": agreement_threshold,
             "preprocess": preprocess,
+            "rerun_threshold": rerun_threshold,
         },
     )
-
-
-def extract_spans_split(
-    docs: ray.data.Dataset,
-    *,
-    heavy_batch_size="auto",
-) -> ray.data.Dataset:
-    """Filter-split hybrid routing — the idiomatic Ray Data form of the
-    reference's ``HybridOCREngine`` (SURVEY ST3): light spans (text/html)
-    run through the stateless light kernel, heavy spans (scan/pdf)
-    through the model-holding ``extract_batch``, outputs unioned.
-
-    Use this over the fused ``extract_spans`` when the heavy route is
-    expensive (real OCR models): light spans then never share a batch
-    with OCR work.  The union scatters a document's spans across
-    light/heavy blocks, so downstream reassembly MUST take the
-    groupby(doc_id) shuffle path (``run_extraction_split`` does).
-    """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ..stages.extract import extract_light_batch
-
-    spans = docs.map_batches(explode_spans, batch_format="pyarrow")
-
-    def keep(kinds):
-        return lambda t: t.filter(pc.is_in(t["kind"], pa.array(kinds)))
-
-    light = spans.map_batches(keep(["text", "html"]), batch_format="pyarrow")
-    heavy = spans.map_batches(keep(["scan", "pdf"]), batch_format="pyarrow")
-
-    light_out = light.map_batches(extract_light_batch, batch_format="pyarrow")
-    heavy_out = heavy.map_batches(
-        extract_batch,
-        batch_format="pyarrow",
-        batch_size=STAGE["ocr_batch_size"] if heavy_batch_size == "auto" else heavy_batch_size,
-    )
-    return light_out.union(heavy_out)
-
-
-def run_extraction_split(
-    docs: ray.data.Dataset,
-    *,
-    heavy_batch_size="auto",
-) -> ray.data.Dataset:
-    """Split-routing pipeline; output identical to ``run_extraction``."""
-    tune_context()
-    extracted = extract_spans_split(docs, heavy_batch_size=heavy_batch_size)
-    return reassemble(extracted)
-
-
-def run_extraction_hybrid_rerun(
-    docs: ray.data.Dataset,
-    *,
-    rerun_threshold: float = 0.93,
-    agreement_threshold: Optional[float] = None,
-) -> ray.data.Dataset:
-    """Smart-mode extraction: first-pass engine for everything, then scan
-    spans whose confidence fell below ``rerun_threshold`` rerun through
-    the heavier second engine and the better answer wins.
-
-    Mirrors ``hybrid_ocr_engine.py:152-182`` (Paddle first, avg page
-    confidence < 0.85 -> DeepSeek rerun) as a filter-split: confident
-    spans never touch the second engine.  The mock first engine's
-    confidences live in [0.90, 0.998], so the demo threshold defaults
-    inside that range; a real deployment sets the reference's 0.85.
-
-    The union scatters a document's spans across confident/rerun blocks,
-    so reassembly takes the groupby(doc_id) shuffle path.
-    """
-    import pyarrow.compute as pc
-
-    from ..stages.extract import rerun_batch
-
-    tune_context()
-    # the first-pass output feeds two branches; materialize at the fan-out
-    # so extraction doesn't re-execute per branch (NOTES gotcha — at
-    # 100 TB this boundary is a checkpointed table instead)
-    extracted = extract_spans(
-        docs,
-        batch_size=None,
-        agreement_threshold=agreement_threshold,
-    ).materialize()
-
-    def is_doubtful(t):
-        return pc.and_(
-            pc.equal(t["kind"], "scan"), pc.less(t["score"], rerun_threshold)
-        )
-
-    confident = extracted.map_batches(
-        lambda t: t.filter(pc.invert(is_doubtful(t))), batch_format="pyarrow"
-    )
-    doubtful = extracted.map_batches(
-        lambda t: t.filter(is_doubtful(t)), batch_format="pyarrow"
-    )
-    rerun = doubtful.map_batches(rerun_batch, batch_format="pyarrow")
-    return reassemble(confident.union(rerun))
-
-
-def run_extraction_skew_aware(
-    docs: ray.data.Dataset,
-    *,
-    span_threshold: int = 2000,
-    giant_output_blocks: Optional[int] = None,
-) -> ray.data.Dataset:
-    """Skew-aware extraction: media-heavy giants repartitioned, the rest
-    shuffle-free.
-
-    A document with 10^4 spans fills its exploded block and serializes
-    on one extraction task (SURVEY §7.6 skew).  Mitigating with a global
-    repartition forces ALL spans through the groupby(doc_id) reassembly
-    shuffle, whose fixed cost dwarfs the straggler at moderate scale.
-    Instead: span counts are read pre-explode via ``list_value_length``
-    (no explode needed), only docs above ``span_threshold`` take the
-    repartition + shuffle-reassembly route, and the shuffle moves ONLY
-    the giants' spans; normal docs keep the doc-local fast path.  The
-    two branches union.  This is hot-key salting applied to document
-    size.
-
-    ``docs`` is consumed by both branches; the input is materialized so
-    upstream derivation doesn't re-execute per branch (straight off
-    ``read_parquet``/``read_lance`` the second pass would just re-read).
-    """
-    import pyarrow.compute as pc
-
-    tune_context()
-    docs = docs.materialize()
-
-    def with_len(t):
-        return t.append_column("n_spans", pc.list_value_length(t["spans"]))
-
-    sized = docs.map_batches(with_len, batch_format="pyarrow")
-    normal = sized.map_batches(
-        lambda t: t.filter(pc.less_equal(t["n_spans"], span_threshold)).drop_columns(
-            ["n_spans"]
-        ),
-        batch_format="pyarrow",
-    )
-    giant = sized.map_batches(
-        lambda t: t.filter(pc.greater(t["n_spans"], span_threshold)).drop_columns(
-            ["n_spans"]
-        ),
-        batch_format="pyarrow",
-    )
-    if giant_output_blocks is None:
-        import ray
-
-        giant_output_blocks = int(ray.cluster_resources().get("CPU", 4)) * 2
-
-    normal_out = reassemble_local(
-        extract_spans(normal, batch_size=None), expect_dense_offsets=True
-    )
-    giant_out = reassemble(
-        extract_spans(
-            giant,
-            batch_size=None,
-            num_output_blocks=giant_output_blocks,
-        )
-    )
-    return normal_out.union(giant_out)
 
 
 def reassemble(extracted: ray.data.Dataset) -> ray.data.Dataset:
@@ -322,8 +188,7 @@ def reassemble(extracted: ray.data.Dataset) -> ray.data.Dataset:
     fast path uses — ``reassemble_batch_local`` handles many docs per
     table).  One shuffle, one Python invocation per sorted block instead
     of one per document (``stages/bucketed.py``).  Required whenever spans were
-    scattered (skew repartition, pre-exploded inputs, filter-split
-    unions).
+    scattered (the skew route's repartition, pre-exploded inputs).
     """
     from ..stages.bucketed import bucketed_map_groups
 
@@ -359,50 +224,63 @@ def reassemble_local(
 def run_extraction(
     docs: ray.data.Dataset,
     *,
-    batch_size="auto",
+    batch_size: Optional[int] = None,
     num_output_blocks: Optional[int] = None,
     agreement_threshold: Optional[float] = None,
     preprocess: bool = False,
+    rerun_threshold: Optional[float] = None,
 ) -> ray.data.Dataset:
-    """Full flagship pipeline over an interleaved documents Dataset.
+    """Interleaved documents -> ordered span rows: the one extraction plan.
 
-    Reassembly strategy: documents stay block-local through
-    explode+extract only when nothing re-cuts block boundaries — no skew
-    repartition (``num_output_blocks is None``) and batch==block in the
-    extractor (``batch_size is None``; a fixed batch_size can split a
-    task's output at batch edges once blocks approach
-    ``target_max_block_size``).  When both hold, the shuffle-free local
-    reassembly is used; otherwise the general groupby(doc_id) shuffle.
+    Default route: one task map over document rows runs explode,
+    extraction and the sort + dense-seq reassembly per batch.  A document
+    is one input row, so its spans never straddle batches or blocks, and
+    no shuffle is needed.  ``batch_size`` is documents per batch (None:
+    batch == block).
+
+    Skew route (``num_output_blocks`` set): the exploded spans are
+    repartitioned across that many blocks before extraction, so a
+    media-heavy document's spans run on many tasks, and the
+    groupby(doc_id) shuffle reassembles them.  ``batch_size`` is then
+    spans per extraction batch.
+
+    ``preprocess=True`` runs the M2/M3 image chain (grayscale -> denoise
+    -> contrast -> deskew, warmed once per worker process) on each scan
+    span's page image ahead of recognition — the reference's
+    off-by-default ``ocr_engine.py:75-115`` preprocessing
+    (``config.yaml:131-134``).
+
+    ``agreement_threshold`` overrides the native-vs-OCR route choice for
+    pdf spans (None -> config default).  A value > 1 forces the OCR
+    route everywhere — the single-engine "deepseek_only" analog of the
+    reference's mode switch (``hybrid_ocr_engine.py:250-264``), and the
+    mode whose output is an exact media round-trip (used by the
+    ``extraction_pipeline`` driver oracle).
+
+    ``rerun_threshold`` (smart mode): scan spans whose first-pass
+    confidence falls below it rerun on the heavier second engine and the
+    better answer wins, with ``route`` recording the winner.  The mock
+    first engine's confidences live in [0.90, 0.998], so a demo threshold
+    sits inside that range; a real deployment sets the reference's 0.85.
     """
     tune_context()
-    extracted = extract_spans(
-        docs,
+    kernel_kwargs = {
+        "agreement_threshold": agreement_threshold,
+        "preprocess": preprocess,
+        "rerun_threshold": rerun_threshold,
+    }
+    if num_output_blocks:
+        return reassemble(
+            extract_spans(
+                docs,
+                batch_size=batch_size,
+                num_output_blocks=num_output_blocks,
+                **kernel_kwargs,
+            )
+        )
+    return docs.map_batches(
+        _extract_documents,
+        batch_format="pyarrow",
         batch_size=batch_size,
-        num_output_blocks=num_output_blocks,
-        agreement_threshold=agreement_threshold,
-        preprocess=preprocess,
-    )
-    if num_output_blocks is None and batch_size is None:
-        return reassemble_local(extracted, expect_dense_offsets=True)
-    return reassemble(extracted)
-
-
-def run_extraction_from_flat(
-    flat_path: str,
-    *,
-    seed: int = 42,
-    batch_size="auto",
-    num_output_blocks: Optional[int] = None,
-    num_read_blocks: Optional[int] = None,
-    agreement_threshold: Optional[float] = None,
-) -> ray.data.Dataset:
-    """Convenience: flat documents parquet -> interleave -> extract -> reassemble."""
-    docs = interleave(
-        read_flat_documents(flat_path, num_blocks=num_read_blocks), seed=seed
-    )
-    return run_extraction(
-        docs,
-        batch_size=batch_size,
-        num_output_blocks=num_output_blocks,
-        agreement_threshold=agreement_threshold,
+        fn_kwargs=kernel_kwargs,
     )

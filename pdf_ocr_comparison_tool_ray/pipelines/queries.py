@@ -2892,12 +2892,14 @@ def q_extraction_roundtrip(sf_dir: str):
     the equality, so this checks the reassembly invariant end to end;
     span-level goldens (incl. the default agreement routing) are pinned
     by the pytest fixtures."""
-    from ..pipelines.extraction import run_extraction_from_flat
-
-    out = run_extraction_from_flat(
-        f"{sf_dir}/documents.parquet", agreement_threshold=1.1
+    from ..pipelines.extraction import (
+        interleave,
+        read_flat_documents,
+        run_extraction,
     )
-    return _concat_spans(out)
+
+    docs = interleave(read_flat_documents(f"{sf_dir}/documents.parquet"))
+    return _concat_spans(run_extraction(docs, agreement_threshold=1.1))
 
 
 SQL_EXTRACTION_ROUNDTRIP = """
@@ -2915,11 +2917,11 @@ def q_extraction_hybrid_roundtrip(sf_dir: str):
     from ..pipelines.extraction import (
         interleave,
         read_flat_documents,
-        run_extraction_hybrid_rerun,
+        run_extraction,
     )
 
     docs = interleave(read_flat_documents(f"{sf_dir}/documents.parquet"))
-    out = run_extraction_hybrid_rerun(docs, agreement_threshold=1.1)
+    out = run_extraction(docs, agreement_threshold=1.1, rerun_threshold=0.93)
     return _concat_spans(out)
 
 

@@ -4,8 +4,9 @@ One callable class handles all four kinds per batch (the reference's
 ``HybridOCREngine`` shape: one object owning every engine,
 ``hybrid_ocr_engine.py:49-247``).  State (compiled patterns, the OCR
 "model", thresholds) is built once in ``__init__`` and reused across
-batches.  The pipelines map the plain functions ``extract_batch`` and
-``rerun_batch`` as Ray tasks; each builds its extractor once per worker
+batches.  The extraction plan calls the plain functions ``extract_batch``
+and ``rerun_batch`` inside its Ray tasks (first pass, then the doubtful
+scan spans of the same batch); each builds its extractor once per worker
 process through an ``lru_cache`` keyed on the constructor arguments
 (Ray reuses task workers), which is where a real OCR model would load
 its weights (``ocr_engine.py:56-73``, ``deepseek_ocr2_engine.py:60-94``).
@@ -63,41 +64,6 @@ def register_extractor(kind: str):
         return fn
 
     return deco
-
-
-def extract_light_batch(batch: pa.Table) -> pa.Table:
-    """Stateless route for cheap kinds (text passthrough, html strip).
-
-    The filter-split half of the reference's hybrid engine
-    (``hybrid_ocr_engine.py:49-247``): light spans never occupy the
-    heavy (model-holding) route.  Input batches must contain only
-    ``kind in {text, html}`` rows (the split filter guarantees this).
-    """
-    kinds = batch["kind"].to_pylist()
-    texts = batch["text"].to_pylist()
-    n = len(batch)
-    out_text = texts
-    routes = [""] * n
-    for i, k in enumerate(kinds):
-        if k == "text":
-            routes[i] = "native"
-        elif k == "html":
-            out_text[i] = strip_html(texts[i])
-            routes[i] = "html"
-        else:  # pragma: no cover - split filter violated
-            raise ValueError(f"heavy kind {k!r} routed to the light path")
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "kind": batch["kind"],
-            "text": pa.array(out_text, type=pa.string()),
-            "media_ref": batch["media_ref"],
-            "offset": batch["offset"],
-            "route": pa.array(routes),
-            "score": pa.array([1.0] * n, type=pa.float64()),
-            "bbox": pa.array([NO_BBOX] * n, type=_BBOX_TYPE),
-        }
-    )
 
 
 class SpanExtractor:
@@ -164,7 +130,7 @@ class SpanExtractor:
                     "text": batch["text"],
                     "media_ref": batch["media_ref"],
                     "offset": batch["offset"],
-                    "route": pa.array(["native"] * n),
+                    "route": pa.array(["native"] * n, type=pa.string()),
                     "score": pa.array([1.0] * n, type=pa.float64()),
                     "bbox": pa.array([NO_BBOX] * n, type=_BBOX_TYPE),
                 }
@@ -238,7 +204,9 @@ class SpanExtractor:
                 "text": pa.array(out_text, type=pa.string()),
                 "media_ref": batch["media_ref"],
                 "offset": batch["offset"],
-                "route": pa.array(routes),
+                # typed: an empty batch would infer null, and the rerun
+                # concatenates this table with a string-typed one
+                "route": pa.array(routes, type=pa.string()),
                 "score": pa.array(scores, type=pa.float64()),
                 "bbox": pa.array(bboxes, type=_BBOX_TYPE),
             }
@@ -251,12 +219,13 @@ class SecondPassExtractor:
     first; a page whose average confidence falls below threshold reruns
     on DeepSeek and the higher-confidence result wins).
 
-    Input batches hold only the low-confidence scan rows (the filter
-    split upstream guarantees it); each is re-decoded with the heavier
-    engine and the better of the two answers is kept, with ``route``
-    recording which engine won ("ocr" kept / "ocr2" rerun won).  A real
-    deployment loads the second model in ``__init__``, once per worker
-    process through ``rerun_batch``'s cache.
+    Input batches hold only the low-confidence scan rows (the span
+    kernel in ``pipelines/extraction.py`` selects them); each is
+    re-decoded with the heavier engine and the better of the two
+    answers is kept, with ``route`` recording which engine won ("ocr"
+    kept / "ocr2" rerun won).  A real deployment loads the second model
+    in ``__init__``, once per worker process through ``rerun_batch``'s
+    cache.
     """
 
     def __init__(self):

@@ -23,20 +23,20 @@ def reassemble_batch_local(
     """Batch-local reassembly — shuffle-free fast path.
 
     Valid ONLY when every document's spans live entirely inside one
-    batch.  That holds by construction straight after ``explode_spans``
-    with batch==block (explode never splits a document across output
-    blocks) and no repartition between explode and here — EXCEPT that
-    Ray Data's dynamic block splitting can slice a task's output at
-    ``target_max_block_size`` regardless of batch boundaries, scattering
-    one document across two blocks.  ``expect_dense_offsets=True``
-    (set by the pipeline entry points, whose interleaved inputs carry
-    dense 0-based per-doc offsets) turns that silent corruption into a
-    loud error: a sliced document leaves at least one fragment whose
-    offsets are not exactly 0..n-1, and this check raises instead of
-    emitting two independent seq runs.  Any stage that scatters spans
-    on purpose (skew repartition, pre-exploded span tables) must use the
-    ``groupby(doc_id)`` shuffle path.  Output rows are identical to the
-    shuffle path; only block boundaries differ.
+    batch.  ``run_extraction``'s default route calls it inside the same
+    function that exploded the batch's documents, so that always holds
+    there and it needs no check.  ``reassemble_local`` maps it over
+    blocks of already-extracted spans, where Ray Data's dynamic block
+    splitting can slice a task's output at ``target_max_block_size``
+    and scatter one document across two blocks; the guard serves only
+    that caller.  ``expect_dense_offsets=True`` (for inputs derived by
+    ``interleave``, which carry dense 0-based per-doc offsets) turns
+    that silent corruption into a loud error: a sliced document leaves
+    at least one fragment whose offsets are not exactly 0..n-1, and this
+    check raises instead of emitting two independent seq runs.  Spans
+    scattered on purpose (the skew route's repartition, pre-exploded
+    span tables) take the ``groupby(doc_id)`` shuffle path.  Output rows
+    are identical to the shuffle path; only block boundaries differ.
     """
     idx = pc.sort_indices(
         batch,

@@ -9,7 +9,8 @@ batch-pipeline equivalent:
   (md5-hash mod P) — stable across runs and processes, never a function
   of execution order;
 * one output parquet per partition, written atomically
-  (tmp file + rename) by the same task that reassembles the partition;
+  (tmp file + rename) by the task that groups the partition's
+  reassembled rows;
 * a manifest JSON per partition (``_manifest/p{i}.json``) recording
   lineage: partition id, doc/span counts, wall seconds, seed, input
   path — written only after the data file rename succeeds;
@@ -33,7 +34,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..pipelines.extraction import extract_spans, interleave, read_flat_documents
+from ..pipelines.extraction import interleave, read_flat_documents, run_extraction
 
 
 def input_fingerprint(path: str) -> str:
@@ -222,14 +223,14 @@ def _make_partition_writer(
     input_fp: str = "",
     num_partitions: Optional[int] = None,
 ):
-    """map_groups UDF factory: reassemble one partition, write it
-    atomically, record lineage; emits the partition's metrics row."""
+    """map_groups UDF factory: write one partition of reassembled rows
+    atomically in (doc_id, seq) order, record lineage; emits the
+    partition's metrics row."""
 
     def write_partition(group: pd.DataFrame) -> pd.DataFrame:
         t0 = time.perf_counter()
         part = int(group["partition"].iloc[0])
-        g = group.sort_values(["doc_id", "offset"]).reset_index(drop=True)
-        g["seq"] = g.groupby("doc_id").cumcount().astype("int32")
+        g = group.sort_values(["doc_id", "seq"]).reset_index(drop=True)
         out_cols = ["doc_id", "seq", "kind", "text", "media_ref", "route", "score"]
         table = pa.Table.from_pandas(g[out_cols], preserve_index=False)
 
@@ -301,7 +302,7 @@ def run_extraction_checkpointed(
         return batch.loc[keep]
 
     flat = flat.map_batches(drop_done, batch_format="pandas")
-    extracted = extract_spans(interleave(flat, seed=seed))
+    extracted = run_extraction(interleave(flat, seed=seed))
 
     def add_partition(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()

@@ -1,7 +1,7 @@
 """Every stage that once ran as an actor pool finishes at 1, 2 and 4
 logical Ray CPUs and returns the oracle's answer.
 
-Covered: every extraction entry point, and the registry ops whose
+Covered: each route of the extraction plan, and the registry ops whose
 extraction, multimodal (featurize, preprocess, resize, frame sample,
 aHash), LLM-cascade and page-match stages used to be pools.  They all
 run as plain task maps now, so the read task always gets a CPU.  An
@@ -67,12 +67,11 @@ def docs():
 
 
 runs = {
-    "run_extraction[local]": lambda: ex.run_extraction(docs(), batch_size=None),
-    "run_extraction[shuffle]": lambda: ex.run_extraction(docs(), batch_size="auto"),
-    "run_extraction_split": lambda: ex.run_extraction_split(docs()),
-    "run_extraction_hybrid_rerun": lambda: ex.run_extraction_hybrid_rerun(docs()),
-    "run_extraction_skew_aware": lambda: ex.run_extraction_skew_aware(
-        docs(), span_threshold=50),
+    "run_extraction[local]": lambda: ex.run_extraction(docs()),
+    "run_extraction[repartition]": lambda: ex.run_extraction(
+        docs(), num_output_blocks=8),
+    "run_extraction[rerun]": lambda: ex.run_extraction(
+        docs(), rerun_threshold=0.93),
 }
 result = {name: spans(run()) == golden for name, run in runs.items()}
 
@@ -99,10 +98,8 @@ OPS = (
 )
 CHECKS = {
     "run_extraction[local]",
-    "run_extraction[shuffle]",
-    "run_extraction_split",
-    "run_extraction_hybrid_rerun",
-    "run_extraction_skew_aware",
+    "run_extraction[repartition]",
+    "run_extraction[rerun]",
     *OPS,
 }
 

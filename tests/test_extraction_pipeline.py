@@ -80,8 +80,9 @@ def test_seq_is_dense_and_sorted_per_doc():
 
 @pytest.mark.usefixtures("ray_session")
 def test_local_reassembly_equals_shuffle_reassembly():
-    """The shuffle-free fast path (batch==block, no repartition) must emit
-    exactly the rows of the general groupby(doc_id) shuffle path."""
+    """The shuffle-free default route must emit exactly the rows of the
+    skew route (repartition + groupby(doc_id) shuffle), which
+    ``num_output_blocks`` selects."""
     docs = make_corpus(40, seed=13, skew_docs=2)
     local = _result_df(run_extraction(interleave(_flat_ds(docs)), batch_size=None))
     shuffled = _result_df(
@@ -98,15 +99,51 @@ def test_local_reassembly_equals_shuffle_reassembly():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_split_routing_equals_fused_extraction():
-    """Filter-split hybrid routing (light stateless / heavy actor pool +
-    shuffle reassembly) must emit exactly the fused pipeline's rows."""
-    from pdf_ocr_comparison_tool_ray.pipelines.extraction import run_extraction_split
+def test_gapped_out_of_order_offsets_on_every_route():
+    """Span offsets need not be dense, start at 0 or arrive in order:
+    documents whose offsets are gapped and shuffled (10 before 3) come out
+    in offset order with a dense 0-based seq, whatever the batching or
+    route.  A document with no spans makes an empty batch at
+    batch_size=1, which the rerun must pass through."""
+    from pdf_ocr_comparison_tool_ray.functions.extract import extract_span
+    from pdf_ocr_comparison_tool_ray.schema import DOCUMENTS_SCHEMA
+    from pdf_ocr_comparison_tool_ray.sources.interleave import encode_media
 
-    docs = make_corpus(30, seed=21, skew_docs=1)
-    fused = _result_df(run_extraction(interleave(_flat_ds(docs)), batch_size=None))
-    split = _result_df(run_extraction_split(interleave(_flat_ds(docs))))
-    pd.testing.assert_frame_equal(fused, split)
+    spans = {
+        "a": [("text", "ten", "", 10), ("scan", "", encode_media("three words here"), 3)],
+        "b": [
+            ("text", "forty", "", 40),
+            ("html", "<p>seven seven seven seven</p>", "", 7),
+            ("scan", "", encode_media("nineteen is a page"), 19),
+        ],
+        "c": [("text", "only", "", 5)],
+        "d": [],
+    }
+    docs = pa.Table.from_pylist(
+        [
+            {
+                "doc_id": doc,
+                "spans": [dict(kind=k, text=t, media_ref=m, offset=o) for k, t, m, o in ss],
+            }
+            for doc, ss in spans.items()
+        ],
+        schema=DOCUMENTS_SCHEMA,
+    )
+    expected = [
+        (doc, seq, k, extract_span(k, t, m)[0], m)
+        for doc, ss in spans.items()
+        for seq, (k, t, m, _) in enumerate(sorted(ss, key=lambda s: s[3]))
+    ]
+    cols = ["doc_id", "seq", "kind", "text", "media_ref"]
+    for kw in (
+        {},
+        {"batch_size": None},
+        {"batch_size": 1},
+        {"batch_size": 1, "rerun_threshold": 0.93},
+        {"num_output_blocks": 2, "rerun_threshold": 0.93},
+    ):
+        out = run_extraction(ray.data.from_arrow(docs), **kw).to_pandas()[cols]
+        assert sorted(out.itertuples(index=False, name=None)) == expected, kw
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -150,23 +187,6 @@ def test_custom_extractor_registry():
     assert out.iloc[0]["route"] == "custom:rot13"
     assert out.iloc[0]["score"] == 0.9
     assert out.iloc[1]["route"] == "native"
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_skew_aware_equals_fused_extraction():
-    """Skew-aware split (giants shuffled, rest local) emits the same rows."""
-    from pdf_ocr_comparison_tool_ray.pipelines.extraction import (
-        run_extraction_skew_aware,
-    )
-
-    docs = make_corpus(25, seed=44, skew_docs=2)  # skew tail ~100x median
-    fused = _result_df(run_extraction(interleave(_flat_ds(docs)), batch_size=None))
-    aware = _result_df(
-        run_extraction_skew_aware(
-            interleave(_flat_ds(docs)), span_threshold=50
-        )
-    )
-    pd.testing.assert_frame_equal(fused, aware)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -220,7 +240,6 @@ def test_hybrid_rerun_confidence_routing():
     from pdf_ocr_comparison_tool_ray.pipelines.extraction import (
         interleave,
         run_extraction,
-        run_extraction_hybrid_rerun,
     )
     from pdf_ocr_comparison_tool_ray.pipelines.reports import route_stats
 
@@ -237,7 +256,7 @@ def test_hybrid_rerun_confidence_routing():
         .reset_index(drop=True)
     )
     rerun = (
-        run_extraction_hybrid_rerun(interleave(flat), rerun_threshold=thr)
+        run_extraction(interleave(flat), rerun_threshold=thr)
         .to_pandas()
         .sort_values(["doc_id", "seq"])
         .reset_index(drop=True)
@@ -262,7 +281,7 @@ def test_hybrid_rerun_confidence_routing():
     assert (rerun.loc[doubtful, "route"] == "ocr2").any()
     # route_stats surfaces the fallback ratio
     stats = route_stats(
-        run_extraction_hybrid_rerun(interleave(flat), rerun_threshold=thr)
+        run_extraction(interleave(flat), rerun_threshold=thr)
     )
     ocr2 = stats.loc[stats["route"] == "ocr2", "route_ratio"]
     assert len(ocr2) == 1 and 0.0 < float(ocr2.iloc[0]) < 1.0
